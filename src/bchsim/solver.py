@@ -12,10 +12,11 @@ on the periodic interval [-L, L).  Coupling modes:
 
 Each step treats the stiff linear parts implicitly: the phase update
 solves (1 + dt kappa k^4 + dt A k^2) phi^{n+1} = rhs with stabilizer A,
-the velocity update divides by (1 + dt nu k^2).  Nonlinear terms are
-collocation products in physical space; every product is projected onto
-|j| < n/4 before use, so a band-limited state stays band-limited exactly
-and cubic aliasing cannot occur.
+the velocity update divides by (1 + dt nu k^2).  The state is held as
+band spectra, the real-transform modes 0 <= j < n/4 only.  Products of up
+to three band fields are alias-free on the n points (Orszag's rule), so
+forming them there and truncating is their exact projection; the Burgers
+term is taken as (v^2/2)_x, which projects exactly as v v_x does.
 
 Diagnostics recorded every record_every steps: free energy, kinetic
 energy, H1 seminorms, the period assigned to the free energy by the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .energy import EnergyPeriodTable, free_energy
+from .energy import EnergyPeriodTable
 from .grid import Field, Grid
 from .series import TimeSeries
 from .waves import Params
@@ -75,10 +76,11 @@ class State:
 
 
 class Stepper:
-    """Precomputed spectral operators for repeated steps of one setup.
+    """Precomputed operators for repeated steps of one setup.
 
-    Works on the real-transform half spectrum; all products are masked to
-    |j| < n/4.
+    Spectra are band spectra: `spectral` truncates `rfft` to j < n/4 and
+    `physical` zero-pads back to n points.  The linear parts of each
+    update are combined into per-mode coefficients once, here.
     """
 
     def __init__(self, grid: Grid, params: Params, dt: float, coupling_mode: str,
@@ -93,68 +95,60 @@ class Stepper:
         self.coupling_mode = coupling_mode
         self.stabilizer = 2.0 * params.beta if stabilizer is None else float(stabilizer)
 
-        n = grid.n
-        k = 2.0 * math.pi * np.fft.rfftfreq(n, d=grid.dx)
-        self.k = k
+        p = params
+        k = 2.0 * math.pi * np.fft.rfftfreq(grid.n, d=grid.dx)[: grid.n // 4]
         self.ik = 1j * k
-        self.k2 = k * k
-        self.mask = np.arange(k.size) < n // 4
-        self.den_phi = 1.0 + dt * (params.kappa * self.k2**2 + self.stabilizer * self.k2)
-        self.den_v = 1.0 + dt * params.nu * self.k2
+        k2 = k * k
+        den_phi = 1.0 + dt * (p.kappa * k2 * k2 + self.stabilizer * k2)
+        # phi^{n+1} = c_phi phi + c_cubic P[phi^3] + c_adv P[advection]
+        self.c_phi = (1.0 + dt * (p.beta + self.stabilizer) * k2) / den_phi
+        self.c_cubic = -dt * p.alpha * k2 / den_phi
+        self.c_adv = -dt / den_phi * (1.0 if coupling_mode == "advective" else self.ik)
+        self.mu_lin = p.kappa * k2 - p.beta
+        # v^{n+1} = c_v v + c_src P[source] + c_burgers P[v^2]
+        self.c_v = 1.0 / (1.0 + dt * p.nu * k2)
+        self.c_src = (-dt if coupling_mode == "div_form_2" else dt) * p.K * self.c_v
+        self.c_burgers = -0.5 * dt * self.ik * self.c_v
 
     def spectral(self, values: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, np.fft.rfft(values), 0.0)
+        return np.fft.rfft(values)[: self.grid.n // 4]
 
     def physical(self, hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft(hat, n=self.grid.n)
 
-    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, np.fft.rfft(a * b), 0.0)
+    def cubic_hat(self, phi: np.ndarray) -> np.ndarray:
+        return self.spectral(phi * phi * phi)
 
     def mu_hat(self, phi_hat: np.ndarray, cubic_hat: np.ndarray) -> np.ndarray:
-        p = self.params
-        return p.kappa * self.k2 * phi_hat + cubic_hat - p.beta * phi_hat
+        return self.mu_lin * phi_hat + self.params.alpha * cubic_hat
 
     def advance(self, phi_hat: np.ndarray, v_hat: np.ndarray | None):
-        """One step; returns updated spectra.  Raises on CFL violation."""
-        p = self.params
-        dt = self.dt
+        """One step; returns updated spectra.  Raises on a CFL violation or non-finite v."""
         phi = self.physical(phi_hat)
-        cubic_hat = np.where(self.mask, np.fft.rfft(p.alpha * phi**3), 0.0)
-        chem_hat = cubic_hat - (p.beta + self.stabilizer) * phi_hat
-
+        cubic_hat = self.cubic_hat(phi)
+        new_phi = self.c_phi * phi_hat + self.c_cubic * cubic_hat
         if self.coupling_mode == "uncoupled":
-            new_phi = (phi_hat - dt * self.k2 * chem_hat) / self.den_phi
             return new_phi, None
 
         v = self.physical(v_hat)
         v_max = float(np.max(np.abs(v)))
-        if dt * max(v_max, 1.0) > self.grid.dx * (1.0 + 1e-12):
-            raise SolverError(
-                f"CFL violation: dt = {dt:g} exceeds dx / max(|v|, 1) = "
-                f"{self.grid.dx / max(v_max, 1.0):g}"
-            )
-
-        phi_x = self.physical(self.ik * phi_hat)
-        if self.coupling_mode == "advective":
-            adv_hat = self._product(v, phi_x)
-        else:
-            adv_hat = self.ik * self._product(v, phi)
+        if not (self.dt * max(v_max, 1.0) <= self.grid.dx * (1.0 + 1e-12)):
+            if not math.isfinite(v_max):
+                raise SolverError(f"non-finite velocity: max |v| = {v_max}")
+            raise SolverError(f"CFL violation: dt = {self.dt:g} exceeds dx / max(|v|, 1) = "
+                              f"{self.grid.dx / max(v_max, 1.0):g}")
 
         mu_hat = self.mu_hat(phi_hat, cubic_hat)
         if self.coupling_mode == "div_form_2":
-            mu_x = self.physical(self.ik * mu_hat)
-            source_hat = -p.K * self._product(mu_x, phi)
+            adv_hat = self.spectral(v * phi)
+            source_hat = self.spectral(self.physical(self.ik * mu_hat) * phi)
         else:
-            mu = self.physical(mu_hat)
-            source_hat = p.K * self._product(mu, phi_x)
-
-        v_x = self.physical(self.ik * v_hat)
-        burgers_hat = self._product(v, v_x)
-
-        new_phi = (phi_hat - dt * self.k2 * chem_hat - dt * adv_hat) / self.den_phi
-        new_v = (v_hat + dt * (source_hat - burgers_hat)) / self.den_v
-        return new_phi, new_v
+            phi_x = self.physical(self.ik * phi_hat)
+            adv_hat = self.spectral(v * (phi_x if self.coupling_mode == "advective" else phi))
+            source_hat = self.spectral(self.physical(mu_hat) * phi_x)
+        # v v_x and (v^2/2)_x have the same projection: v^2 is alias-free on n points
+        new_v = self.c_v * v_hat + self.c_src * source_hat + self.c_burgers * self.spectral(v * v)
+        return new_phi + self.c_adv * adv_hat, new_v
 
 
 def step(state: State, dt: float, stabilizer: float | None = None) -> State:
@@ -173,13 +167,15 @@ def step(state: State, dt: float, stabilizer: float | None = None) -> State:
 
 
 def resolution_check(state: State) -> tuple[bool, float]:
-    """True when every masked-out spectral coefficient of phi (and v) is
-    below machine epsilon relative to the field's spectral scale."""
+    """True when every coefficient j >= n/4 of phi (and v) is below machine
+    epsilon relative to the spectral scale.  The transform runs in extended
+    precision, so its own roundoff does not count.  A stepped field has no
+    such modes beyond roundoff; this does not test the band's decay."""
     worst = 0.0
     for f in (state.phi, state.v):
         if f is None:
             continue
-        hat = np.fft.rfft(f.values)
+        hat = np.fft.rfft(f.values.astype(np.longdouble))
         scale = float(np.max(np.abs(hat)))
         if scale == 0.0:
             continue
@@ -244,13 +240,17 @@ def run(config: SolverConfig) -> RunResult:
     params = cfg.params
     dt = cfg.dt_eff
     stepper = Stepper(grid, params, dt, cfg.coupling_mode, cfg.stabilizer_eff)
+    n_steps = max(1, round(cfg.t_final / dt))
+    late = [t for t in cfg.snapshot_times if t > n_steps * dt + 1e-12]
+    if late:
+        raise ValueError(f"snapshot time {late[0]:g} is after the last step, "
+                         f"t = {n_steps * dt:g}")
 
     phi0, v0 = initial.build_initial_fields(cfg, grid, params)
     phi_hat = stepper.spectral(phi0.values)
     v_hat = None if v0 is None else stepper.spectral(v0.values)
 
     table = _coarseness_table(params)
-    n_steps = max(1, round(cfg.t_final / dt))
     snaps_due = sorted(cfg.snapshot_times)
     snapshots: list[Snapshot] = []
 
@@ -262,26 +262,24 @@ def run(config: SolverConfig) -> RunResult:
     dissipation: list[float] = []
 
     def record(step_index: int) -> None:
-        t = step_index * dt
         phi = stepper.physical(phi_hat)
         phi_x = stepper.physical(stepper.ik * phi_hat)
-        e = free_energy(Field(grid, phi), params)
-        cubic_hat = np.where(stepper.mask, np.fft.rfft(params.alpha * phi**3), 0.0)
-        mu_x = stepper.physical(stepper.ik * stepper.mu_hat(phi_hat, cubic_hat))
+        grad2 = grid.dx * float(np.sum(phi_x**2))
+        e = grid.dx * float(np.sum(params.f(phi))) + 0.5 * params.kappa * grad2
+        mu_hat = stepper.mu_hat(phi_hat, stepper.cubic_hat(phi))
+        mu_x = stepper.physical(stepper.ik * mu_hat)
         diss = params.K * grid.dx * float(np.sum(mu_x**2))
-        if v_hat is None:
-            kinetic = 0.0
-            h1_v = 0.0
-        else:
+        kinetic = h1_v = 0.0
+        if v_hat is not None:
             v = stepper.physical(v_hat)
             v_x = stepper.physical(stepper.ik * v_hat)
             kinetic = 0.5 * grid.dx * float(np.sum(v**2))
             h1_v = math.sqrt(grid.dx * float(np.sum(v_x**2)))
             diss += params.nu * grid.dx * float(np.sum(v_x**2))
-        rows["t"].append(t)
+        rows["t"].append(step_index * dt)
         rows["free_energy"].append(e)
         rows["kinetic_energy"].append(kinetic)
-        rows["h1_phi"].append(math.sqrt(grid.dx * float(np.sum(phi_x**2))))
+        rows["h1_phi"].append(math.sqrt(grad2))
         rows["h1_v"].append(h1_v)
         rows["period"].append(float(table.period_of_energy(e)))
         lyapunov.append(kinetic + params.K * e)
@@ -299,9 +297,10 @@ def run(config: SolverConfig) -> RunResult:
 
     for i in range(1, n_steps + 1):
         phi_hat, v_hat = stepper.advance(phi_hat, v_hat)
-        if not np.all(np.isfinite(phi_hat)):
-            raise SolverError(f"non-finite phase field at t = {i * dt:g}")
         t = i * dt
+        for name, hat in (("phase field", phi_hat), ("velocity", v_hat)):
+            if hat is not None and not np.all(np.isfinite(hat)):
+                raise SolverError(f"non-finite {name} at t = {t:g}")
         if i % cfg.record_every == 0 or i == n_steps:
             record(i)
         while snaps_due and snaps_due[0] <= t + 1e-12:

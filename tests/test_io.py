@@ -109,6 +109,7 @@ def test_write_run_contents(tmp_path):
     assert report["tag"] == 7
     assert report["series"]["records"] == 3
     assert report["series"]["t_last"] == 0.5
+    assert report["t_final_reached"] == 0.5
     assert report["series"]["final_free_energy"] == 0.4
     assert read_report(tmp_path / "r") == report
     echoed = parse_config((tmp_path / "r" / "config.echo").read_text())

@@ -141,6 +141,17 @@ def test_resolution_check_flags_tail_content():
     assert tail2 > 1e-6
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs an extended-precision long double")
+def test_resolution_check_ignores_its_own_transform_roundoff():
+    # a float64 rfft of this band-limited field reports 2.8e-16 above n/4,
+    # past machine epsilon; the field itself holds 1.6e-16 there
+    vals = _noise_band_limited(Grid(8192), 0)
+    ok, tail = resolution_check(_uncoupled_state(vals))
+    assert ok
+    assert tail < 2.0e-16
+
+
 def test_energy_balance_residual_shape():
     t = np.array([0.0, 0.1, 0.2, 0.3])
     q = np.array([1.0, 0.9, 0.82, 0.76])
@@ -213,3 +224,104 @@ def test_single_mode_growth_rate():
     rate = np.log(amp1 / amp0) / t_final
     expected = params.beta * k**2 - params.kappa * k**4
     assert rate == pytest.approx(expected, rel=0.02)
+
+
+def test_nan_velocity_raises_at_its_step():
+    g = Grid(256)
+    stepper = Stepper(g, Params(), 1e-4, "advective")
+    phi_hat = stepper.spectral(_noise_band_limited(g, 17))
+    v_hat = stepper.spectral(0.2 * np.sin(np.pi * g.x))
+    v_hat[5] = np.nan
+    with pytest.raises(SolverError, match="non-finite velocity"):
+        stepper.advance(phi_hat, v_hat)
+
+
+def test_run_rejects_snapshot_after_last_step():
+    # 0.01 / 9.7656e-5 rounds to 102 steps, so the run stops at t = 0.009961
+    cfg = SolverConfig(n=1024, coupling="advective", init_v="bump", t_final=0.01,
+                       snapshot_times=(0.0, 0.01))
+    with pytest.raises(ValueError, match=r"snapshot time 0\.01 .* t = 0\.00996"):
+        run(cfg)
+
+
+_ALL_MODES = ("uncoupled", "advective", "div_form_1", "div_form_2")
+
+
+def _stepped(advance, width, phi0, v0, steps):
+    """Fields after `steps` calls of `advance` on spectra of `width` modes."""
+    n = phi0.size
+    phi_hat = np.fft.rfft(phi0)[:width]
+    v_hat = None if v0 is None else np.fft.rfft(v0)[:width]
+    for _ in range(steps):
+        phi_hat, v_hat = advance(phi_hat, v_hat)
+    return np.fft.irfft(phi_hat, n=n), None if v_hat is None else np.fft.irfft(v_hat, n=n)
+
+
+@pytest.mark.parametrize("mode", _ALL_MODES)
+def test_stepper_scaling_is_exact(mode):
+    # (L, kappa, K, dt, v) -> (L/2, kappa/4, 4K, dt/4, 2v) at fixed n and nu maps
+    # every step onto itself (all factors are powers of two) and halves E
+    n, steps, dt = 1024, 2000, 1e-4
+    base = Params(kappa=1e-3, K=1.0, nu=6e-3)
+    half = Params(kappa=base.kappa / 4, K=4 * base.K, nu=base.nu, half_length=0.5)
+    g1, g2 = Grid(n), Grid(n, half_length=0.5)
+    phi0 = _noise_band_limited(g1, 19, scale=0.3)
+    v0 = None if mode == "uncoupled" else 0.2 * np.sin(np.pi * g1.x)
+    phi1, v1 = _stepped(Stepper(g1, base, dt, mode).advance, n // 4, phi0, v0, steps)
+    v0 = None if v0 is None else 2 * v0
+    phi2, v2 = _stepped(Stepper(g2, half, dt / 4, mode).advance, n // 4, phi0, v0, steps)
+    assert np.array_equal(phi1, phi2)
+    if mode != "uncoupled":
+        assert np.array_equal(2 * v1, v2)
+    e1 = free_energy(Field(g1, phi1), base)
+    e2 = free_energy(Field(g2, phi2), half)
+    assert abs(e1 / e2 - 2.0) <= 1e-15
+
+
+def _masked_advance(grid, params, dt, mode):
+    """The stepper before band spectra: half spectra, products masked to j < n/4."""
+    n, p, a = grid.n, params, 2.0 * params.beta
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
+    ik, k2 = 1j * k, k * k
+    mask = np.arange(k.size) < n // 4
+    den_phi = 1.0 + dt * (p.kappa * k2**2 + a * k2)
+    den_v = 1.0 + dt * p.nu * k2
+
+    def phys(h):
+        return np.fft.irfft(h, n=n)
+
+    def proj(x):
+        return np.where(mask, np.fft.rfft(x), 0.0)
+
+    def advance(phi_hat, v_hat):
+        phi = phys(phi_hat)
+        cubic_hat = proj(p.alpha * phi**3)
+        chem_hat = cubic_hat - (p.beta + a) * phi_hat
+        if mode == "uncoupled":
+            return (phi_hat - dt * k2 * chem_hat) / den_phi, None
+        v, phi_x = phys(v_hat), phys(ik * phi_hat)
+        adv_hat = proj(v * phi_x) if mode == "advective" else ik * proj(v * phi)
+        mu_hat = p.kappa * k2 * phi_hat + cubic_hat - p.beta * phi_hat
+        if mode == "div_form_2":
+            source_hat = -p.K * proj(phys(ik * mu_hat) * phi)
+        else:
+            source_hat = p.K * proj(phys(mu_hat) * phi_x)
+        burgers_hat = proj(v * phys(ik * v_hat))
+        new_phi = (phi_hat - dt * k2 * chem_hat - dt * adv_hat) / den_phi
+        return new_phi, (v_hat + dt * (source_hat - burgers_hat)) / den_v
+
+    return advance
+
+
+@pytest.mark.parametrize("mode", _ALL_MODES)
+def test_stepper_matches_masked_reference(mode):
+    g, params, dt, steps = Grid(256), Params(kappa=1e-3, K=1.0, nu=6e-3), 2e-5, 500
+    phi0 = _noise_band_limited(g, 23, scale=0.3)
+    v0 = None if mode == "uncoupled" else _noise_band_limited(g, 29, scale=0.2)
+    reference = _masked_advance(g, params, dt, mode)
+    phi_ref, v_ref = _stepped(reference, g.n // 2 + 1, phi0, v0, steps)
+    phi, v = _stepped(Stepper(g, params, dt, mode).advance, g.n // 4, phi0, v0, steps)
+    assert not np.allclose(phi, phi0, rtol=0, atol=1e-3)  # the steps do something
+    assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
+    if mode != "uncoupled":
+        assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))

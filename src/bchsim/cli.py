@@ -253,6 +253,8 @@ def _cmd_fit(args) -> int:
         series = TimeSeries.from_csv(args.series)
     except OSError as exc:
         raise UsageError(f"cannot read series: {exc}")
+    except ValueError as exc:
+        raise UsageError(f"bad series: {exc}")
     result = fit_pfit(series, params, t_max=args.t_max, p0=args.p0, t0=args.t0)
     payload = {"c1": float(result.c1), "c2": float(result.c2),
                "objective": float(result.objective)}
@@ -271,14 +273,11 @@ def _cmd_waves_table(args) -> int:
     binodal = params.binodal
     amps = np.arange(args.da, binodal, args.da)
     amps = amps[amps < binodal * (1.0 - 1e-12)]
-    lines = ["amplitude,period,modulus,energy"]
-    for a in amps:
-        wave = periodic_wave(float(a), params)
-        energy = wave_window_energy(float(a), params)
-        lines.append(f"{float(a)!r},{float(wave.period)!r},"
-                     f"{float(wave.modulus)!r},{float(energy)!r}")
+    waves = [periodic_wave(float(a), params) for a in amps]
     out = _out_dir(args, "waves", None)
-    (out / "table.csv").write_text("\n".join(lines) + "\n")
+    TimeSeries(amplitude=amps, period=[w.period for w in waves],
+               modulus=[w.modulus for w in waves],
+               energy=[wave_window_energy(float(a), params) for a in amps]).to_csv(out / "table.csv")
     runio.write_report(out, {
         "command": "waves table", "rows": int(len(amps)),
         "da": float(args.da), "kappa": float(params.kappa), "table": "table.csv",
@@ -305,26 +304,17 @@ def _cmd_evans_table(args) -> int:
     return 0
 
 
-def _read_snapshot_any(path) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (x, phi) of a snapshot CSV; a velocity column is ignored."""
+def _cmd_measure(args) -> int:
+    params = _params_for(args)
     try:
-        with open(path) as fh:
-            header = fh.readline().strip().lower().split(",")
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        snap = TimeSeries.from_csv(args.snapshot)
     except OSError as exc:
         raise UsageError(f"cannot read snapshot: {exc}")
     except ValueError as exc:
-        raise UsageError(f"bad snapshot {path}: {exc}")
-    if len(header) < 2 or header[0] != "x" or header[1] != "phi":
-        raise UsageError(f"snapshot header must start with x,phi; got {header}")
-    if raw.shape[1] != len(header):
-        raise UsageError(f"snapshot {path}: {raw.shape[1]} columns, header names {len(header)}")
-    return raw[:, 0], raw[:, 1]
-
-
-def _cmd_measure(args) -> int:
-    params = _params_for(args)
-    x, phi_vals = _read_snapshot_any(args.snapshot)
+        raise UsageError(f"bad snapshot: {exc}")
+    if snap.names[:2] != ("x", "phi"):
+        raise UsageError(f"snapshot header must start with x,phi; got {list(snap.names)}")
+    x, phi_vals = snap["x"], snap["phi"]
     n = x.size
     if n < 2 or n & (n - 1):
         raise UsageError(f"snapshot needs a power-of-two sample count, got {n}")
@@ -338,11 +328,9 @@ def _cmd_measure(args) -> int:
         warnings.simplefilter("ignore")
         period = period_from_energy(energy, table)
     ko = kohn_otto_length(Field(grid, phi_vals - phi.mean()))
-    text = "energy,period,ko_length\n" + \
-        f"{float(energy)!r},{float(period)!r},{float(ko)!r}\n"
-    sys.stdout.write(text)
     out = _out_dir(args, "measure", None)
-    (out / "measure.csv").write_text(text)
+    TimeSeries(energy=[energy], period=[period], ko_length=[ko]).to_csv(out / "measure.csv")
+    sys.stdout.write((out / "measure.csv").read_text())
     runio.write_report(out, {
         "command": "measure", "snapshot": str(args.snapshot),
         "energy": float(energy), "period": float(period), "ko_length": float(ko),

@@ -281,11 +281,10 @@ def kohn_otto_length(phi: Field, mean_tol: float = 1e-10) -> float:
     if abs(phi.mean()) > mean_tol:
         raise ValueError(f"field mean {phi.mean():.3e} exceeds tolerance {mean_tol:.1e}")
     grid = phi.grid
-    hat = np.fft.fft(phi.values)
+    hat = np.fft.rfft(phi.values)
     anti = np.zeros_like(hat)
-    nonzero = grid.k != 0.0
-    anti[nonzero] = hat[nonzero] / (1j * grid.k[nonzero])
-    anti[grid.nyquist] = 0.0
-    big_phi = np.fft.ifft(anti).real
+    # the mean mode has no antiderivative; the Nyquist mode's would be imaginary
+    anti[1:-1] = hat[1:-1] / (1j * grid.k[1:-1])
+    big_phi = grid.physical(anti)
     c = np.median(big_phi)
     return float(grid.dx * np.sum(np.abs(big_phi - c)) / (2.0 * grid.half_length))

@@ -4,19 +4,20 @@ An ensemble repeats one configuration with derived seeds (base seed plus
 trial index) and averages the recorded diagnostics pointwise on the shared
 record grid.  Overlay curves from the period predictors are attached once
 the mean free energy crosses the spinodal level.  A failed trial is
-reported and skipped rather than aborting the whole ensemble.
+reported and skipped rather than aborting the whole ensemble, whatever
+the exception that ended it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import SolverConfig
 from .evans import EigTable, build_eig_table
+from .parallel import parallel_map
 from .predictors import (
     FitResult,
     Handshake,
@@ -85,6 +86,15 @@ def _run_trial(job: tuple[int, SolverConfig]) -> tuple[int, TimeSeries]:
     index, cfg = job
     return index, run(cfg).series
 
+
+def _attempt_trial(job: tuple[int, SolverConfig]) -> tuple[TimeSeries | None, str | None]:
+    """(series, None) for a finished trial, (None, message) for a failed one."""
+    try:
+        return _run_trial(job)[1], None
+    except Exception as exc:  # any failure ends this trial only
+        return None, str(exc)
+
+
 def _trial_configs(config: SolverConfig, trials: int) -> list[SolverConfig]:
     return [replace(config, seed=config.seed + i) for i in range(trials)]
 
@@ -126,26 +136,9 @@ def run_ensemble(config: SolverConfig, trials: int, workers: int = 1,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     jobs = list(enumerate(_trial_configs(config, trials)))
-    results: list[TimeSeries | None] = [None] * trials
-    failures: list[tuple[int, str]] = []
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_trial, job): job[0] for job in jobs}
-            for fut, index in futures.items():
-                try:
-                    _, series = fut.result()
-                    results[index] = series
-                except (RuntimeError, ArithmeticError) as exc:
-                    failures.append((index, str(exc)))
-    else:
-        for job in jobs:
-            try:
-                _, series = _run_trial(job)
-                results[job[0]] = series
-            except (RuntimeError, ArithmeticError) as exc:
-                failures.append((job[0], str(exc)))
-    failures.sort()
+    outcomes = parallel_map(_attempt_trial, jobs, workers)
+    results = [series for series, _ in outcomes]
+    failures = [(i, error) for i, (_, error) in enumerate(outcomes) if error is not None]
 
     done = [s for s in results if s is not None]
     if not done:
@@ -289,13 +282,7 @@ def compare_coupled(coupled_cfg: SolverConfig,
         if a != b:
             raise ValueError(f"configurations disagree on {name}: {a!r} vs {b!r}")
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            fut_c = pool.submit(run, coupled_cfg)
-            fut_u = pool.submit(run, uncoupled_cfg)
-            res_c, res_u = fut_c.result(), fut_u.result()
-    else:
-        res_c, res_u = run(coupled_cfg), run(uncoupled_cfg)
+    res_c, res_u = parallel_map(run, [coupled_cfg, uncoupled_cfg], workers)
 
     def crossings(result: RunResult) -> tuple[float | None, ...]:
         s = result.series

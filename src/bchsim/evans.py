@@ -29,10 +29,12 @@ problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .parallel import parallel_map
+from .series import TimeSeries
 from .waves import Params, WaveProfile, periodic_wave
 
 __all__ = [
@@ -285,31 +287,22 @@ class EigTable:
         return float(out) if out.ndim == 0 else out
 
     def to_csv(self, path) -> None:
-        lines = ["amplitude,period,lambda_max,kappa"]
-        for a, p, lam in zip(self.amplitudes, self.periods, self.lambda_max):
-            lines.append(f"{float(a)!r},{float(p)!r},{float(lam)!r},{float(self.kappa)!r}")
-        from pathlib import Path
-
-        Path(path).write_text("\n".join(lines) + "\n")
+        TimeSeries(amplitude=self.amplitudes, period=self.periods, lambda_max=self.lambda_max,
+                   kappa=np.full(self.amplitudes.size, self.kappa)).to_csv(path)
 
     @classmethod
     def from_csv(cls, path, params: Params) -> "EigTable":
-        from pathlib import Path
-
-        rows = [
-            line.split(",")
-            for line in Path(path).read_text().strip().splitlines()[1:]
-            if line.strip()
-        ]
-        data = np.array([[float(v) for v in r] for r in rows])
-        kappa = float(data[0, 3])
+        data = TimeSeries.from_csv(path)
+        if data.names != ("amplitude", "period", "lambda_max", "kappa") or not len(data):
+            raise ValueError(f"{path}: expected amplitude,period,lambda_max,kappa rows")
+        kappa = float(data["kappa"][0])
         if abs(kappa - params.kappa) > 1e-15 * kappa:
             raise ValueError(f"table kappa {kappa} does not match params kappa {params.kappa}")
         return cls(
-            amplitudes=data[:, 0],
-            periods=data[:, 1],
-            lambda_max=data[:, 2],
-            xi=np.full(data.shape[0], np.nan),
+            amplitudes=data["amplitude"],
+            periods=data["period"],
+            lambda_max=data["lambda_max"],
+            xi=np.full(len(data), np.nan),
             kappa=kappa,
             params=params,
         )
@@ -386,22 +379,9 @@ def build_eig_table(
         j = max(k for k in coarse if k < i)
         return values[j] * 1.1
 
-    def solve(i: int):
-        res = leading_eigenvalue(
-            amplitudes[i], params, bracket_hint=hint_for(i), rk_steps=rk_steps, rtol=rtol, full=True
-        )
-        return i, res.value, res.xi
-
-    if workers > 1 and remaining:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(i, params, float(amplitudes[i]), hint_for(i), rk_steps, rtol) for i in remaining]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, v, x in pool.map(_solve_entry, jobs):
-                values[i], xis[i] = v, x
-    else:
-        for i in remaining:
-            _, values[i], xis[i] = solve(i)
+    jobs = [(i, params, amplitudes[i], hint_for(i), rk_steps, rtol) for i in remaining]
+    for i, v, x in parallel_map(_solve_entry, jobs, workers):
+        values[i], xis[i] = v, x
 
     return EigTable(
         amplitudes=amplitudes,
@@ -429,15 +409,7 @@ def rescale_table(table: EigTable, kappa_new: float, params_new: Params | None =
         raise ValueError("kappa_new must be positive")
     old = table.params
     if params_new is None:
-        params_new = Params(
-            alpha=old.alpha,
-            beta=old.beta,
-            kappa=kappa_new,
-            nu=old.nu,
-            K=old.K,
-            half_length=old.half_length,
-            mobility=old.mobility,
-        )
+        params_new = replace(old, kappa=kappa_new)
     if (params_new.alpha, params_new.beta) != (old.alpha, old.beta):
         raise ValueError("rescaling requires identical potential parameters")
     ratio = table.kappa / kappa_new

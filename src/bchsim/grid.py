@@ -1,9 +1,11 @@
-"""Periodic grid and spectral operations on [-L, L).
+"""Periodic grid and its real-transform spectral layer on [-L, L).
 
 Conventions: n uniform points x_i = -L + i*dx with dx = 2L/n, wavenumbers
-k_j = pi*j/L in FFT order, forward transform unnormalized (the inverse
-carries the 1/n factor).  Real fields are recovered from spectral data by
-a symmetric inverse: transform back, check the imaginary residue, drop it.
+k_j = pi*j/L for the real-transform modes 0 <= j <= n/2, forward transform
+unnormalized (the inverse carries the 1/n factor).  A band spectrum holds
+the modes j < n/4 only; products of up to three band fields are alias-free
+on the n points, so truncating them back to the band is their exact
+projection.
 """
 
 from __future__ import annotations
@@ -15,17 +17,14 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "to_spectral",
-    "from_spectral",
     "derivative",
-    "dealias",
     "l2_norm",
     "inner",
 ]
 
 
 class Grid:
-    """Uniform periodic grid with precomputed spectral machinery."""
+    """Uniform periodic grid with its wavenumbers and band transforms."""
 
     def __init__(self, n: int, half_length: float = 1.0):
         if n < 4 or (n & (n - 1)) != 0:
@@ -33,16 +32,20 @@ class Grid:
         if half_length <= 0:
             raise ValueError(f"half_length must be positive, got {half_length}")
         self.n = n
+        self.band = n // 4
         self.half_length = float(half_length)
         self.dx = 2.0 * self.half_length / n
         self.x = -self.half_length + self.dx * np.arange(n)
-        # k_j = pi*j/L in FFT order; fftfreq(n, d=dx) returns j/(n*dx).
-        self.k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
-        self.modes = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        # Keep |j| < n/4; products of band-limited fields then stay alias-free
-        # through cubic order.
-        self.dealias_mask = np.abs(self.modes) < n // 4
-        self.nyquist = n // 2
+        # k_j = pi*j/L, j = 0..n/2; rfftfreq(n, d=dx) returns j/(n*dx).
+        self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.dx)
+
+    def spectral(self, values: np.ndarray) -> np.ndarray:
+        """Band spectrum: the real-transform modes j < n/4 of grid values."""
+        return np.fft.rfft(values)[: self.band]
+
+    def physical(self, hat: np.ndarray) -> np.ndarray:
+        """Grid values of a (band or half) spectrum, zero-padded to n points."""
+        return np.fft.irfft(hat, n=self.n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -76,26 +79,9 @@ class Field:
         return float(self.values.mean())
 
 
-def to_spectral(f: Field) -> np.ndarray:
-    return np.fft.fft(f.values)
-
-
-def from_spectral(grid: Grid, hat: np.ndarray, rtol: float = 1e-10) -> Field:
-    """Symmetric inverse transform; rejects spectra that are not conjugate
-    symmetric within rtol of the field scale."""
-    w = np.fft.ifft(hat)
-    scale = max(float(np.abs(hat).max()) / grid.n, 1e-300)
-    resid = float(np.abs(w.imag).max())
-    if resid > rtol * scale:
-        raise ValueError(
-            f"spectrum is not conjugate symmetric: imag residue {resid:.3e} "
-            f"exceeds {rtol:.1e} of field scale {scale:.3e}"
-        )
-    return Field(grid, w.real)
-
-
 def derivative(f: Field, order: int) -> Field:
-    """Spectral derivative of the given order (1 through 4)."""
+    """Spectral derivative of the given order (1 through 4) over the full
+    half spectrum, so fields that are not band-limited are differentiated too."""
     if order not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be 1..4, got {order}")
     grid = f.grid
@@ -103,19 +89,8 @@ def derivative(f: Field, order: int) -> Field:
     if order % 2 == 1:
         # The Nyquist coefficient of a real field is real; an odd power of ik
         # would make it imaginary, so it is dropped.
-        mult = mult.copy()
-        mult[grid.nyquist] = 0.0
-    hat = np.fft.fft(f.values) * mult
-    return Field(grid, np.fft.ifft(hat).real)
-
-
-def dealias(hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero every mode with |j| >= n/4, returning a new spectrum."""
-    if hat.shape != (grid.n,):
-        raise ValueError("spectrum length does not match grid")
-    out = hat.copy()
-    out[~grid.dealias_mask] = 0.0
-    return out
+        mult[-1] = 0.0
+    return Field(grid, grid.physical(np.fft.rfft(f.values) * mult))
 
 
 def l2_norm(f: Field) -> float:

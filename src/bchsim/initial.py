@@ -1,25 +1,26 @@
 """Initial data protocols.
 
-Phase field: dealiased normal noise at the grid points, then (for run
-setup) pre-evolution of the uncoupled equation down to the energy surface
-0.99 E_max, discarding and halving the step whenever it lands below
-target - tol.  Velocity: zero, the unit-sup-norm compactly supported
-bump, or random low-mode Fourier data.  All draws come from one generator
-per run, phase first, so a seed pins the whole initialization.
+Phase field: normal noise at the grid points projected onto the band
+spectrum (modes j < n/4), then (for run setup) pre-evolution of the
+uncoupled equation down to the energy surface 0.99 E_max, discarding
+and halving the step whenever it lands below target - tol.  Velocity:
+zero, the unit-sup-norm compactly supported bump, or random low-mode
+Fourier data.  All draws come from one generator per run, phase first,
+so a seed pins the whole initialization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import solver as _solver
 from .config import SolverConfig
 from .energy import free_energy
-from .grid import Field, Grid, from_spectral, to_spectral
+from .grid import Field, Grid
+from .series import TimeSeries
 from .waves import Params
 
 __all__ = [
@@ -63,13 +64,10 @@ class DtUnderflowError(RuntimeError):
 
 def random_phase_init(recipe: InitRecipe, grid: Grid,
                       rng: np.random.Generator | None = None) -> Field:
-    """Mean-zero normal samples at the grid points with upper modes zeroed."""
+    """Normal samples at the grid points with the modes j >= n/4 zeroed."""
     if rng is None:
         rng = np.random.default_rng(recipe.seed)
-    noise = rng.normal(0.0, recipe.sigma, grid.n)
-    hat = to_spectral(Field(grid, noise))
-    hat[~grid.dealias_mask] = 0.0
-    return from_spectral(grid, hat)
+    return _project(Field(grid, rng.normal(0.0, recipe.sigma, grid.n)))
 
 
 def pre_evolve_to_energy(phi: Field, recipe: InitRecipe, params: Params,
@@ -96,11 +94,11 @@ def pre_evolve_to_energy(phi: Field, recipe: InitRecipe, params: Params,
 
     dt = dt0
     stepper = _solver.Stepper(grid, params, dt, "uncoupled")
-    phi_hat = stepper.spectral(phi.values)
+    phi_hat = grid.spectral(phi.values)
     best = energy
     for _ in range(max_steps):
         cand_hat, _ = stepper.advance(phi_hat, None)
-        cand = Field(grid, stepper.physical(cand_hat))
+        cand = Field(grid, grid.physical(cand_hat))
         cand_energy = free_energy(cand, params)
         if abs(cand_energy - target) <= tol:
             return cand
@@ -144,7 +142,7 @@ def bump_velocity(grid: Grid) -> Field:
 
 def random_fourier_velocity(recipe: InitRecipe, grid: Grid,
                             rng: np.random.Generator | None = None) -> Field:
-    """Low-mode field with coefficients N(0,1) + i N(0,1), conjugate paired.
+    """Low-mode field with coefficients N(0,1) + i N(0,1) on modes 1..cutoff.
 
     The coefficients are used literally in the 1/n-normalized inverse
     transform, so the field amplitude scales like cutoff/n.
@@ -156,27 +154,23 @@ def random_fourier_velocity(recipe: InitRecipe, grid: Grid,
         raise ValueError(f"fourier_cutoff {cutoff} must stay below n/4 = {grid.n // 4}")
     re = rng.standard_normal(cutoff)
     im = rng.standard_normal(cutoff)
-    hat = np.zeros(grid.n, dtype=complex)
+    hat = np.zeros(grid.band, dtype=complex)
     hat[1 : cutoff + 1] = re + 1j * im
-    hat[-cutoff:] = np.conj(hat[1 : cutoff + 1][::-1])
-    return from_spectral(grid, hat)
+    return Field(grid, grid.physical(hat))
 
 
 def _load_field_csv(path: str, column: str, grid: Grid) -> Field:
-    text = Path(path).read_text().strip().splitlines()
-    header = [h.strip() for h in text[0].split(",")]
-    if column not in header:
-        raise ValueError(f"{path}: no column {column!r} in header {header}")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    if data.shape[0] != grid.n:
-        raise ValueError(f"{path}: {data.shape[0]} rows, grid wants {grid.n}")
-    return Field(grid, data[:, header.index(column)])
+    table = TimeSeries.from_csv(path)
+    if column not in table:
+        raise ValueError(f"{path}: no column {column!r} in header {list(table.names)}")
+    if len(table) != grid.n:
+        raise ValueError(f"{path}: {len(table)} rows, grid wants {grid.n}")
+    return Field(grid, table[column])
 
 
 def _project(field: Field) -> Field:
-    hat = to_spectral(field)
-    hat[~field.grid.dealias_mask] = 0.0
-    return from_spectral(field.grid, hat)
+    grid = field.grid
+    return Field(grid, grid.physical(grid.spectral(field.values)))
 
 
 def build_initial_fields(cfg: SolverConfig, grid: Grid,
@@ -185,7 +179,7 @@ def build_initial_fields(cfg: SolverConfig, grid: Grid,
 
     Random phase data includes the pre-evolution to the target energy
     surface; file-loaded fields are used as stored.  Both fields are
-    projected onto the dealiased band on entry.
+    projected onto the band spectrum on entry.
     """
     rng = np.random.default_rng(cfg.seed)
     recipe = InitRecipe(seed=cfg.seed, fourier_cutoff=cfg.fourier_cutoff)

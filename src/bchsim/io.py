@@ -64,13 +64,9 @@ def snapshot_filename(t: float) -> str:
 def write_snapshot(out_dir, snap: Snapshot) -> Path:
     """Write one snapshot as ``x,phi,v`` rows; v is zero when absent."""
     path = Path(out_dir) / snapshot_filename(snap.t)
-    x = snap.phi.grid.x
     phi = snap.phi.values
     v = np.zeros_like(phi) if snap.v is None else snap.v.values
-    with open(path, "w") as fh:
-        fh.write("x,phi,v\n")
-        for row in zip(x, phi, v):
-            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+    TimeSeries(x=snap.phi.grid.x, phi=phi, v=v).to_csv(path)
     return path
 
 
@@ -84,11 +80,11 @@ def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     m = _SNAP_RE.match(path.name)
     if m is None:
         raise ValueError(f"not a snapshot file name: {path.name!r}")
-    t = float(m.group("t"))
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[1] != 3:
-        raise ValueError(f"expected 3 columns in {path}, got {raw.shape[1]}")
-    return t, raw[:, 0], raw[:, 1], raw[:, 2]
+    table = TimeSeries.from_csv(path)
+    if len(table.names) != 3:
+        raise ValueError(f"expected 3 columns in {path}, got {len(table.names)}")
+    x, phi, v = (table[name] for name in table.names)
+    return float(m.group("t")), x, phi, v
 
 
 def write_report(out_dir, payload: dict) -> Path:

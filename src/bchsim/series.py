@@ -1,5 +1,8 @@
 """Column-oriented time series with canonical CSV round-tripping.
 
+The same codec reads and writes every CSV table of the program: run
+series, snapshots, initial-data files, wave and eigenvalue tables.
+
 Floats are written with repr, the shortest representation that parses back
 to the same double, so read-then-rewrite reproduces a file byte for byte.
 """
@@ -69,5 +72,9 @@ class TimeSeries:
             raise ValueError(f"{path} is empty")
         names = [h.strip() for h in text[0].split(",")]
         rows = [line.split(",") for line in text[1:] if line.strip()]
+        for r in rows:
+            if len(r) != len(names):
+                raise ValueError(f"{path}: a row has {len(r)} fields, "
+                                 f"the header names {len(names)}")
         data = {n: np.array([float(r[j]) for r in rows]) for j, n in enumerate(names)}
         return cls(**data)

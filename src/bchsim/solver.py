@@ -41,7 +41,6 @@ __all__ = [
     "SolverError",
     "State",
     "Stepper",
-    "step",
     "run",
     "RunResult",
     "Snapshot",
@@ -78,9 +77,9 @@ class State:
 class Stepper:
     """Precomputed operators for repeated steps of one setup.
 
-    Spectra are band spectra: `spectral` truncates `rfft` to j < n/4 and
-    `physical` zero-pads back to n points.  The linear parts of each
-    update are combined into per-mode coefficients once, here.
+    Spectra are band spectra, taken and inverted by the grid's `spectral`
+    and `physical`.  The linear parts of each update are combined into
+    per-mode coefficients once, here.
     """
 
     def __init__(self, grid: Grid, params: Params, dt: float, coupling_mode: str,
@@ -95,8 +94,10 @@ class Stepper:
         self.coupling_mode = coupling_mode
         self.stabilizer = 2.0 * params.beta if stabilizer is None else float(stabilizer)
 
+        # the grid's band transforms, also for callers that hold only a stepper
+        self.spectral, self.physical = grid.spectral, grid.physical
         p = params
-        k = 2.0 * math.pi * np.fft.rfftfreq(grid.n, d=grid.dx)[: grid.n // 4]
+        k = grid.k[: grid.band]
         self.ik = 1j * k
         k2 = k * k
         den_phi = 1.0 + dt * (p.kappa * k2 * k2 + self.stabilizer * k2)
@@ -109,12 +110,6 @@ class Stepper:
         self.c_v = 1.0 / (1.0 + dt * p.nu * k2)
         self.c_src = (-dt if coupling_mode == "div_form_2" else dt) * p.K * self.c_v
         self.c_burgers = -0.5 * dt * self.ik * self.c_v
-
-    def spectral(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(values)[: self.grid.n // 4]
-
-    def physical(self, hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(hat, n=self.grid.n)
 
     def cubic_hat(self, phi: np.ndarray) -> np.ndarray:
         return self.spectral(phi * phi * phi)
@@ -149,21 +144,6 @@ class Stepper:
         # v v_x and (v^2/2)_x have the same projection: v^2 is alias-free on n points
         new_v = self.c_v * v_hat + self.c_src * source_hat + self.c_burgers * self.spectral(v * v)
         return new_phi + self.c_adv * adv_hat, new_v
-
-
-def step(state: State, dt: float, stabilizer: float | None = None) -> State:
-    """Advance a State by one semi-implicit step."""
-    grid = state.phi.grid
-    stepper = Stepper(grid, state.params, dt, state.coupling_mode, stabilizer)
-    phi_hat = stepper.spectral(state.phi.values)
-    v_hat = None if state.v is None else stepper.spectral(state.v.values)
-    new_phi, new_v = stepper.advance(phi_hat, v_hat)
-    phi = Field(grid, stepper.physical(new_phi))
-    if not np.all(np.isfinite(phi.values)):
-        raise SolverError(f"non-finite phi after step at t = {state.t + dt:g}")
-    v = None if new_v is None else Field(grid, stepper.physical(new_v))
-    return State(t=state.t + dt, phi=phi, v=v, params=state.params,
-                 coupling_mode=state.coupling_mode)
 
 
 def resolution_check(state: State) -> tuple[bool, float]:
@@ -247,8 +227,8 @@ def run(config: SolverConfig) -> RunResult:
                          f"t = {n_steps * dt:g}")
 
     phi0, v0 = initial.build_initial_fields(cfg, grid, params)
-    phi_hat = stepper.spectral(phi0.values)
-    v_hat = None if v0 is None else stepper.spectral(v0.values)
+    phi_hat = grid.spectral(phi0.values)
+    v_hat = None if v0 is None else grid.spectral(v0.values)
 
     table = _coarseness_table(params)
     snaps_due = sorted(cfg.snapshot_times)
@@ -262,17 +242,17 @@ def run(config: SolverConfig) -> RunResult:
     dissipation: list[float] = []
 
     def record(step_index: int) -> None:
-        phi = stepper.physical(phi_hat)
-        phi_x = stepper.physical(stepper.ik * phi_hat)
+        phi = grid.physical(phi_hat)
+        phi_x = grid.physical(stepper.ik * phi_hat)
         grad2 = grid.dx * float(np.sum(phi_x**2))
         e = grid.dx * float(np.sum(params.f(phi))) + 0.5 * params.kappa * grad2
         mu_hat = stepper.mu_hat(phi_hat, stepper.cubic_hat(phi))
-        mu_x = stepper.physical(stepper.ik * mu_hat)
+        mu_x = grid.physical(stepper.ik * mu_hat)
         diss = params.K * grid.dx * float(np.sum(mu_x**2))
         kinetic = h1_v = 0.0
         if v_hat is not None:
-            v = stepper.physical(v_hat)
-            v_x = stepper.physical(stepper.ik * v_hat)
+            v = grid.physical(v_hat)
+            v_x = grid.physical(stepper.ik * v_hat)
             kinetic = 0.5 * grid.dx * float(np.sum(v**2))
             h1_v = math.sqrt(grid.dx * float(np.sum(v_x**2)))
             diss += params.nu * grid.dx * float(np.sum(v_x**2))
@@ -286,8 +266,8 @@ def run(config: SolverConfig) -> RunResult:
         dissipation.append(diss)
 
     def snap(t: float) -> None:
-        phi = Field(grid, stepper.physical(phi_hat))
-        v = None if v_hat is None else Field(grid, stepper.physical(v_hat))
+        phi = Field(grid, grid.physical(phi_hat))
+        v = None if v_hat is None else Field(grid, grid.physical(v_hat))
         snapshots.append(Snapshot(t=t, phi=phi, v=v))
 
     record(0)
@@ -313,8 +293,8 @@ def run(config: SolverConfig) -> RunResult:
     rows["balance_residual"] = list(residual)
     series = TimeSeries(**{k: np.array(v) for k, v in rows.items()})
 
-    final_phi = Field(grid, stepper.physical(phi_hat))
-    final_v = None if v_hat is None else Field(grid, stepper.physical(v_hat))
+    final_phi = Field(grid, grid.physical(phi_hat))
+    final_v = None if v_hat is None else Field(grid, grid.physical(v_hat))
     final = State(t=n_steps * dt, phi=final_phi, v=final_v, params=params,
                   coupling_mode=cfg.coupling_mode)
     ok, tail = resolution_check(final)

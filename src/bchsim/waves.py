@@ -55,7 +55,6 @@ class Params:
     nu: float = 6e-3
     K: float = 1.0
     half_length: float = 1.0
-    mobility: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha", "beta", "kappa", "half_length"):
@@ -63,8 +62,6 @@ class Params:
                 raise ValueError(f"{name} must be positive")
         if self.nu < 0 or self.K < 0:
             raise ValueError("nu and K must be nonnegative")
-        if self.mobility != 1.0:
-            raise ValueError("only unit mobility is supported")
 
     # potential and derivatives
 

@@ -130,6 +130,9 @@ def test_usage_errors_exit_one(tmp_path, fast_config):
                  "--out", str(tmp_path)]) == 1
     assert main(["predict", "--t-max", "0", "--out", str(tmp_path)]) == 1
     assert main(["fit", "--series", str(tmp_path / "none.csv")]) == 1
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,period\n0.0,0.3\n0.5\n")
+    assert main(["fit", "--series", str(ragged)]) == 1
     assert main(["measure", "--snapshot", str(tmp_path / "none.csv")]) == 1
     assert main(["waves", "table", "--da", "-0.1", "--out", str(tmp_path)]) == 1
 
@@ -141,6 +144,9 @@ def test_measure_rejects_irregular_snapshots(tmp_path):
     bad_header = tmp_path / "head.csv"
     bad_header.write_text("y,phi\n0.0,0.0\n0.5,0.0\n")
     assert main(["measure", "--snapshot", str(bad_header)]) == 1
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("x,phi,v\n-1.0,0.0,0.0\n0.0,0.0\n")
+    assert main(["measure", "--snapshot", str(ragged)]) == 1
 
 
 def test_waves_table_format(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from bchsim.config import SolverConfig, config_echo, parse_config, parse_config_file
@@ -125,3 +127,29 @@ def test_params_projection():
     assert p.nu == 0.01
     assert p.K == 2.0
     assert p.half_length == 3.0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_checked_in_configs_parse(path):
+    parse_config_file(path)
+
+
+def test_speedup_pair_passes_the_compare_agreement_check(monkeypatch):
+    import bchsim.ensemble as ens
+
+    coupled = parse_config_file(CONFIGS / "coupled_speedup.cfg")
+    twin = parse_config_file(CONFIGS / "coupled_speedup_twin.cfg")
+    assert twin == ens.uncoupled_twin(coupled, t_final=5.0, dt=1e-3, record_every=10)
+
+    class Reached(Exception):
+        pass
+
+    def stop(cfg):
+        raise Reached
+
+    monkeypatch.setattr(ens, "run", stop)
+    with pytest.raises(Reached):  # the runs start only after the check
+        ens.compare_coupled(coupled, twin)

@@ -18,7 +18,7 @@ from bchsim.energy import (
     plateau_slope_bound,
     wave_window_energy,
 )
-from bchsim.grid import Field, Grid, dealias, from_spectral, to_spectral
+from bchsim.grid import Field, Grid
 from bchsim.waves import Params, amplitude_of_period, kink, period_of_amplitude, periodic_wave
 
 E_MAX = 0.5
@@ -183,8 +183,8 @@ def test_ko_length_rejects_nonzero_mean():
 
 def _random_zero_mean(g: Grid, seed: int) -> Field:
     rng = np.random.default_rng(seed)
-    f = from_spectral(g, dealias(to_spectral(Field(g, rng.standard_normal(g.n))), g))
-    return Field(g, f.values - f.mean())
+    f = g.physical(g.spectral(rng.standard_normal(g.n)))
+    return Field(g, f - f.mean())
 
 
 def test_ko_length_against_linear_program():

@@ -63,24 +63,37 @@ def test_trials_use_derived_seeds():
     assert report.mean_free_energy == pytest.approx(expect, rel=1e-15)
 
 
-def test_failed_trial_marks_partial(monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ValueError, KeyError])
+def test_failed_trial_marks_partial(monkeypatch, error):
     t = np.linspace(0.0, 1.0, 6)
     good = _synthetic_series(t, np.linspace(0.5, 0.45, 6))
+    exc = error("boom")
 
     def series_for(index):
         if index == 1:
-            return RuntimeError("boom")
+            return exc
         return good
 
     monkeypatch.setattr(ens, "_run_trial", _fake_trial(series_for))
     report = run_ensemble(_fast_cfg(), trials=3, overlays=False)
     assert report.partial
-    assert report.failures == [(1, "boom")]
+    assert report.failures == [(1, str(exc))]
     assert report.completed == [0, 2]
     summary = report.summary()
     assert summary["partial"] is True
     assert summary["trials_completed"] == 2
-    assert summary["failures"] == [{"trial": 1, "error": "boom"}]
+    assert summary["failures"] == [{"trial": 1, "error": str(exc)}]
+
+
+def test_worker_pool_gives_the_serial_series():
+    cfg = _fast_cfg(t_final=0.05, record_every=10)
+    serial = run_ensemble(cfg, trials=2, workers=1, overlays=False)
+    pooled = run_ensemble(cfg, trials=2, workers=2, overlays=False)
+    assert pooled.completed == serial.completed == [0, 1]
+    for a, b in zip(serial.trial_series, pooled.trial_series):
+        assert a.names == b.names
+        for name in a.names:
+            assert np.array_equal(a[name], b[name])
 
 
 def test_all_failures_raise(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchsim.grid import Field, Grid, dealias, derivative, from_spectral, inner, l2_norm, to_spectral
+from bchsim.grid import Field, Grid, derivative, inner, l2_norm
 
 
 def test_grid_geometry():
@@ -31,34 +31,50 @@ def test_derivative_of_sine():
     assert np.allclose(d2f.values, -k * k * np.sin(k * g.x), atol=1e-7)
 
 
-def test_spectral_round_trip():
-    rng = np.random.default_rng(0)
-    g = Grid(64)
-    f = Field(g, rng.standard_normal(64))
-    assert np.allclose(from_spectral(g, to_spectral(f)).values, f.values, atol=1e-12)
-
-
-def test_from_spectral_rejects_asymmetric_input():
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_keeps_the_top_mode_for_even_orders_only(order):
+    # the Nyquist mode cos(n pi x / 2L) is dropped by odd orders and kept by even ones
     g = Grid(16)
-    hat = np.zeros(16, dtype=complex)
-    hat[1] = 1.0  # no conjugate partner at -1
-    with pytest.raises(ValueError):
-        from_spectral(g, hat)
+    f = Field(g, np.cos(np.pi * g.n / 2 * g.x))
+    expected = 0.0 if order % 2 else (-1) ** (order // 2) * (np.pi * g.n / 2) ** order * f.values
+    assert np.allclose(derivative(f, order).values, expected, rtol=1e-12, atol=1e-9)
+
+
+def test_grid_wavenumbers_are_the_real_transform_modes():
+    g = Grid(16, half_length=2.0)
+    assert g.k.shape == (9,)
+    assert np.allclose(g.k, np.pi * np.arange(9) / 2.0, rtol=1e-15, atol=0)
+    assert g.band == 4
+
+
+def test_spectral_round_trip():
+    g = Grid(64)
+    f = _band_limited(g, 0)
+    hat = g.spectral(f.values)
+    assert hat.shape == (16,)
+    assert np.allclose(g.physical(hat), f.values, atol=1e-12)
+
+
+def test_physical_zero_pads_the_band():
+    g = Grid(32)
+    hat = np.zeros(g.band, dtype=complex)
+    hat[3] = 2.0 - 1.0j
+    expected = (2.0 * np.cos(3 * np.pi * (g.x + 1.0)) + np.sin(3 * np.pi * (g.x + 1.0))) * 2 / g.n
+    assert np.allclose(g.physical(hat), expected, atol=1e-15)
 
 
 def _band_limited(g: Grid, seed: int) -> Field:
     rng = np.random.default_rng(seed)
-    f = Field(g, rng.standard_normal(g.n))
-    return from_spectral(g, dealias(to_spectral(f), g))
+    return Field(g, g.physical(g.spectral(rng.standard_normal(g.n))))
 
 
 @given(seed=st.integers(0, 1000))
 @settings(max_examples=25, deadline=None)
-def test_dealias_is_idempotent(seed):
+def test_band_projection_is_idempotent(seed):
     g = Grid(64)
-    hat = to_spectral(Field(g, np.random.default_rng(seed).standard_normal(64)))
-    once = dealias(hat, g)
-    assert np.array_equal(dealias(once, g), once)
+    once = g.spectral(np.random.default_rng(seed).standard_normal(64))
+    twice = g.spectral(g.physical(once))
+    assert np.allclose(twice, once, rtol=0, atol=1e-13 * np.abs(once).max())
 
 
 @given(seed=st.integers(0, 1000))
@@ -66,8 +82,11 @@ def test_dealias_is_idempotent(seed):
 def test_parseval(seed):
     g = Grid(32)
     f = Field(g, np.random.default_rng(seed).standard_normal(32))
-    hat = to_spectral(f)
-    spectral_sum = 2.0 * g.half_length * np.sum(np.abs(hat) ** 2) / g.n**2
+    hat = np.fft.rfft(f.values)
+    # modes 1..n/2-1 stand for themselves and their conjugates
+    weights = np.full(hat.size, 2.0)
+    weights[[0, -1]] = 1.0
+    spectral_sum = 2.0 * g.half_length * np.sum(weights * np.abs(hat) ** 2) / g.n**2
     assert l2_norm(f) ** 2 == pytest.approx(spectral_sum, rel=1e-12)
 
 

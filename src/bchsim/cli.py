@@ -21,10 +21,11 @@ import numpy as np
 
 from . import io as runio
 from .config import SolverConfig, config_echo, parse_config_file
-from .energy import EnergyPeriodTable, free_energy, kohn_otto_length, period_from_energy, wave_window_energy
+from .energy import coarseness_table, free_energy, kohn_otto_length, period_from_energy, wave_window_energy
 from .ensemble import compare_coupled, run_ensemble
 from .evans import EigTable, build_eig_table, default_amplitudes
-from .grid import Field, Grid
+from .grid import Field
+from .initial import read_file_fields
 from .predictors import PredictorConfig, fit_pfit, predicted_energy_curve
 from .series import TimeSeries
 from .solver import run
@@ -126,21 +127,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(what: str, reader, *args):
+    """``reader(*args)``, with unreadable or invalid input as a UsageError."""
+    try:
+        return reader(*args)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}")
+    except ValueError as exc:
+        raise UsageError(f"bad {what}: {exc}")
+
+
+def _parse_run_config(path) -> SolverConfig:
+    """A config whose ``file:`` initial data are valid fields on its grid."""
+    cfg = parse_config_file(path)
+    read_file_fields(cfg, cfg.make_grid())
+    return cfg
+
+
 def _load_config(args, required: bool = True) -> SolverConfig | None:
     path = getattr(args, "config", None)
     if path is None:
         if required:
             raise UsageError("this command needs --config")
         return None
-    try:
-        return parse_config_file(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}")
-    except ValueError as exc:
-        raise UsageError(f"bad config {path}: {exc}")
+    return _read(f"config {path}", _parse_run_config, path)
 
 
-def _params_for(args) -> Params:
+def _params_for(args) -> tuple[SolverConfig | None, Params]:
+    """The optional --config and its params, with --kappa applied."""
     cfg = _load_config(args, required=False)
     params = cfg.params if cfg is not None else SolverConfig().params
     kappa = getattr(args, "kappa", None)
@@ -148,7 +162,7 @@ def _params_for(args) -> Params:
         if kappa <= 0:
             raise UsageError("--kappa must be positive")
         params = replace(params, kappa=kappa)
-    return params
+    return cfg, params
 
 
 def _out_dir(args, command: str, cfg: SolverConfig | None = None) -> Path:
@@ -175,22 +189,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_eig_table(path, params: Params) -> EigTable:
-    try:
-        return EigTable.from_csv(path, params)
-    except OSError as exc:
-        raise UsageError(f"cannot read table: {exc}")
-    except ValueError as exc:
-        raise UsageError(f"bad table {path}: {exc}")
-
-
 def _cmd_ensemble(args) -> int:
     cfg = _load_config(args)
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     table = None
     if args.table is not None:
-        table = _load_eig_table(args.table, cfg.params)
+        table = _read("table", EigTable.from_csv, args.table, cfg.params)
     out = _out_dir(args, "ensemble", cfg)
     report = run_ensemble(cfg, args.trials, workers=max(1, args.threads),
                           overlays=not args.no_overlays, eig_table=table)
@@ -218,7 +223,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    params = _params_for(args)
+    cfg, params = _params_for(args)
     if args.half and args.method != "eig":
         raise UsageError("--half only applies to --method eig")
     if args.samples < 2:
@@ -229,13 +234,13 @@ def _cmd_predict(args) -> int:
         "eig_half" if args.half else "eig_full")
     table = None
     if args.method == "eig":
-        table = (_load_eig_table(args.table, params) if args.table is not None
-                 else build_eig_table(params))
+        table = (_read("table", EigTable.from_csv, args.table, params)
+                 if args.table is not None else build_eig_table(params))
     pcfg = PredictorConfig(p0=args.p0, t0=args.t0, variant=variant, eig_table=table)
     grid = np.linspace(args.t0, args.t_max, args.samples)
     curve = predicted_energy_curve(grid, pcfg, params)
     out = _out_dir(args, "predict", None)
-    _echo_config(out, _load_config(args, required=False))
+    _echo_config(out, cfg)
     curve.to_csv(out / "series.csv")
     runio.write_report(out, {
         "command": "predict", "method": args.method, "variant": variant,
@@ -248,13 +253,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    params = _params_for(args)
-    try:
-        series = TimeSeries.from_csv(args.series)
-    except OSError as exc:
-        raise UsageError(f"cannot read series: {exc}")
-    except ValueError as exc:
-        raise UsageError(f"bad series: {exc}")
+    _, params = _params_for(args)
+    series = _read("series", TimeSeries.from_csv, args.series)
     result = fit_pfit(series, params, t_max=args.t_max, p0=args.p0, t0=args.t0)
     payload = {"c1": float(result.c1), "c2": float(result.c2),
                "objective": float(result.objective)}
@@ -267,7 +267,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_waves_table(args) -> int:
-    params = _params_for(args)
+    _, params = _params_for(args)
     if args.da <= 0:
         raise UsageError("--da must be positive")
     binodal = params.binodal
@@ -287,7 +287,7 @@ def _cmd_waves_table(args) -> int:
 
 
 def _cmd_evans_table(args) -> int:
-    params = _params_for(args)
+    _, params = _params_for(args)
     if args.da <= 0:
         raise UsageError("--da must be positive")
     amps = default_amplitudes(params, da=args.da, p_max=args.p_max)
@@ -305,29 +305,13 @@ def _cmd_evans_table(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    params = _params_for(args)
-    try:
-        snap = TimeSeries.from_csv(args.snapshot)
-    except OSError as exc:
-        raise UsageError(f"cannot read snapshot: {exc}")
-    except ValueError as exc:
-        raise UsageError(f"bad snapshot: {exc}")
-    if snap.names[:2] != ("x", "phi"):
-        raise UsageError(f"snapshot header must start with x,phi; got {list(snap.names)}")
-    x, phi_vals = snap["x"], snap["phi"]
-    n = x.size
-    if n < 2 or n & (n - 1):
-        raise UsageError(f"snapshot needs a power-of-two sample count, got {n}")
-    grid = Grid(n, -float(x[0]))
-    if not np.allclose(grid.x, x, rtol=0.0, atol=1e-9 * grid.half_length):
-        raise UsageError("snapshot x column is not the uniform grid this tool expects")
-    phi = Field(grid, phi_vals)
+    _, params = _params_for(args)
+    phi = _read("snapshot", runio.read_field, args.snapshot, "phi")
     energy = free_energy(phi, params)
-    table = EnergyPeriodTable.build(params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        period = period_from_energy(energy, table)
-    ko = kohn_otto_length(Field(grid, phi_vals - phi.mean()))
+        period = period_from_energy(energy, coarseness_table(params))
+    ko = kohn_otto_length(Field(phi.grid, phi.values - phi.mean()))
     out = _out_dir(args, "measure", None)
     TimeSeries(energy=[energy], period=[period], ko_length=[ko]).to_csv(out / "measure.csv")
     sys.stdout.write((out / "measure.csv").read_text())
@@ -343,12 +327,8 @@ def _cmd_compare(args) -> int:
     coupled_cfg = _load_config(args)
     uncoupled_cfg = None
     if args.uncoupled_config is not None:
-        try:
-            uncoupled_cfg = parse_config_file(args.uncoupled_config)
-        except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}")
-        except ValueError as exc:
-            raise UsageError(f"bad config {args.uncoupled_config}: {exc}")
+        uncoupled_cfg = _read(f"config {args.uncoupled_config}", _parse_run_config,
+                              args.uncoupled_config)
     out = _out_dir(args, "compare", coupled_cfg)
     report = compare_coupled(coupled_cfg, uncoupled_cfg,
                              thresholds=args.thresholds,

@@ -9,6 +9,7 @@ writes the resolved values, so a rerun from the echo reproduces the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from .grid import Grid
 from .waves import Params
@@ -142,8 +143,6 @@ def parse_config(text: str) -> SolverConfig:
 
 
 def parse_config_file(path) -> SolverConfig:
-    from pathlib import Path
-
     return parse_config(Path(path).read_text())
 
 

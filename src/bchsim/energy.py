@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .grid import Field, derivative, l2_norm
-from .waves import Params, amplitude_of_period, periodic_wave
+from .waves import Params, amplitude_of_period, kink, periodic_wave, spinodal
 
 __all__ = [
     "free_energy",
@@ -31,6 +31,7 @@ __all__ = [
     "energy_of_period",
     "plateau_slope_bound",
     "EnergyPeriodTable",
+    "coarseness_table",
     "period_from_energy",
     "kohn_otto_length",
     "ClampWarning",
@@ -85,6 +86,8 @@ def wave_window_energy(a: float, params: Params) -> float:
 
 def energy_of_period(p: float, params: Params) -> float:
     """E(p), the window energy of the period-p wave."""
+    if not math.isfinite(p):
+        raise ValueError(f"period must be finite, got {p}")
     if p < params.p_min:
         raise ValueError(f"period must be at least p_min = {params.p_min}, got {p}")
     if p == params.p_min:
@@ -93,8 +96,6 @@ def energy_of_period(p: float, params: Params) -> float:
 
 
 def energy_scale(params: Params) -> EnergyScale:
-    from .waves import kink, spinodal
-
     sp = spinodal(params)
     return EnergyScale(
         e_max=params.e_max,
@@ -120,6 +121,11 @@ def plateau_slope_bound(a: float, params: Params) -> float:
     )
 
 
+_GAP_FRACTION = 1.0 / 200.0
+_CAP_FRACTION = 1e-4
+_MAX_NODES = 4000
+
+
 @dataclass
 class EnergyPeriodTable:
     """Tabulated E(p) along the amplitude family, plus its monotone envelope."""
@@ -133,28 +139,20 @@ class EnergyPeriodTable:
     truncated: bool
 
     @classmethod
-    def build(
-        cls,
-        params: Params,
-        gap_fraction: float = 1.0 / 200.0,
-        cap_fraction: float = 1e-4,
-        max_nodes: int = 4000,
-    ) -> "EnergyPeriodTable":
+    def build(cls, params: Params) -> "EnergyPeriodTable":
         """Tabulate E over amplitude, graded toward the binodal.
 
-        The table ends once the energy is within cap_fraction of the full
+        The table ends once the energy is within _CAP_FRACTION of the full
         range above e_min, or at the last amplitude distinguishable from the
         binodal in double precision (then truncated=True).  Adjacent rows are
-        refined until successive energy gaps drop below gap_fraction of the
-        range; nodes are inserted at midpoints of u = log(1 - a/binodal) so
+        refined until successive energy gaps drop below _GAP_FRACTION of the
+        range, up to _MAX_NODES rows; nodes are inserted at midpoints of u = log(1 - a/binodal) so
         refinement behaves in the near-binodal tail as well.
         """
-        from .waves import kink
-
         binodal = params.binodal
         e_max = params.e_max
         e_min = kink(params).e_min
-        e_cap = e_min + (e_max - e_min) * cap_fraction
+        e_cap = e_min + (e_max - e_min) * _CAP_FRACTION
 
         def u_of(a: float) -> float:
             return math.log(1.0 - a / binodal)
@@ -172,9 +170,9 @@ class EnergyPeriodTable:
                 break
 
         nodes = [(u, wave_window_energy(a_of(u), params)) for u in us]
-        gap = gap_fraction * (e_max - e_min)
+        gap = _GAP_FRACTION * (e_max - e_min)
         # Leading cell against the analytic (p_min, e_max) row.
-        while len(nodes) < max_nodes:
+        while len(nodes) < _MAX_NODES:
             refined = False
             if abs(nodes[0][1] - e_max) > gap:
                 # Halve the leading amplitude; u = log(1 - a/binodal) ~ -a/binodal there.
@@ -235,11 +233,17 @@ class EnergyPeriodTable:
         out = np.interp(-ee, -self.env_energies, self.env_periods)
         return float(out) if out.ndim == 0 else out
 
-    def energy_of_period_envelope(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        pp = np.clip(p, self.env_periods[0], self.env_periods[-1])
-        out = np.interp(pp, self.env_periods, self.env_energies)
-        return float(out) if out.ndim == 0 else out
+
+_TABLES: dict = {}
+
+
+def coarseness_table(params: Params) -> EnergyPeriodTable:
+    """The E(p) table of params, built once per process per (alpha, beta,
+    kappa, L), the parameters it depends on."""
+    key = (params.alpha, params.beta, params.kappa, params.half_length)
+    if key not in _TABLES:
+        _TABLES[key] = EnergyPeriodTable.build(params)
+    return _TABLES[key]
 
 
 def period_from_energy(e: float, table: EnergyPeriodTable, rtol: float = 1e-10) -> float:

@@ -19,6 +19,7 @@ from .config import SolverConfig
 from .evans import EigTable, build_eig_table
 from .parallel import parallel_map
 from .predictors import (
+    VARIANTS,
     FitResult,
     Handshake,
     PredictorConfig,
@@ -39,8 +40,6 @@ __all__ = [
     "first_crossing",
     "detect_energy_drops",
 ]
-
-_OVERLAY_VARIANTS = ("langer", "eig_full", "eig_half")
 
 
 @dataclass
@@ -114,7 +113,7 @@ def _overlay_series(times: np.ndarray, hs: Handshake, params: Params,
     """Predictor curves on the record grid, NaN before the handshake time."""
     cols: dict[str, np.ndarray] = {"t": times}
     live = times >= hs.t0
-    for variant in _OVERLAY_VARIANTS:
+    for variant in VARIANTS:
         cfg = PredictorConfig(p0=hs.p0, t0=hs.t0, variant=variant,
                               eig_table=None if variant == "langer" else table)
         curve = predicted_energy_curve(times[live], cfg, params)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .parallel import parallel_map
 from .series import TimeSeries
-from .waves import Params, WaveProfile, periodic_wave
+from .waves import Params, WaveProfile, period_of_amplitude, periodic_wave
 
 __all__ = [
     "Monodromy",
@@ -295,6 +295,10 @@ class EigTable:
         data = TimeSeries.from_csv(path)
         if data.names != ("amplitude", "period", "lambda_max", "kappa") or not len(data):
             raise ValueError(f"{path}: expected amplitude,period,lambda_max,kappa rows")
+        if not all(np.all(np.isfinite(data[name])) for name in data.names):
+            raise ValueError(f"{path}: the table holds non-finite values")
+        if np.any(np.diff(data["period"]) <= 0.0):
+            raise ValueError(f"{path}: periods must strictly increase")
         kappa = float(data["kappa"][0])
         if abs(kappa - params.kappa) > 1e-15 * kappa:
             raise ValueError(f"table kappa {kappa} does not match params kappa {params.kappa}")
@@ -321,8 +325,6 @@ def _default_p_max(params: Params) -> float:
 
 def default_amplitudes(params: Params, da: float = 0.01, p_max: float | None = None) -> np.ndarray:
     """Uniform amplitude grid plus a log-graded tail reaching period p_max."""
-    from .waves import period_of_amplitude
-
     if p_max is None:
         p_max = _default_p_max(params)
     binodal = params.binodal

@@ -20,7 +20,7 @@ from . import solver as _solver
 from .config import SolverConfig
 from .energy import free_energy
 from .grid import Field, Grid
-from .series import TimeSeries
+from .io import read_field
 from .waves import Params
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "bump_profile",
     "bump_velocity",
     "random_fourier_velocity",
+    "read_file_fields",
     "build_initial_fields",
 ]
 
@@ -159,18 +160,16 @@ def random_fourier_velocity(recipe: InitRecipe, grid: Grid,
     return Field(grid, grid.physical(hat))
 
 
-def _load_field_csv(path: str, column: str, grid: Grid) -> Field:
-    table = TimeSeries.from_csv(path)
-    if column not in table:
-        raise ValueError(f"{path}: no column {column!r} in header {list(table.names)}")
-    if len(table) != grid.n:
-        raise ValueError(f"{path}: {len(table)} rows, grid wants {grid.n}")
-    return Field(grid, table[column])
-
-
 def _project(field: Field) -> Field:
     grid = field.grid
     return Field(grid, grid.physical(grid.spectral(field.values)))
+
+
+def read_file_fields(cfg: SolverConfig, grid: Grid) -> dict[str, Field]:
+    """The ``file:`` initial fields of a config, keyed "phi" and "v"."""
+    return {column: read_field(spec[len("file:"):], column, grid)
+            for column, spec in (("phi", cfg.init_phi), ("v", cfg.init_v))
+            if spec.startswith("file:")}
 
 
 def build_initial_fields(cfg: SolverConfig, grid: Grid,
@@ -183,12 +182,13 @@ def build_initial_fields(cfg: SolverConfig, grid: Grid,
     """
     rng = np.random.default_rng(cfg.seed)
     recipe = InitRecipe(seed=cfg.seed, fourier_cutoff=cfg.fourier_cutoff)
+    files = read_file_fields(cfg, grid)
 
     if cfg.init_phi == "random":
         phi = random_phase_init(recipe, grid, rng)
         phi = pre_evolve_to_energy(phi, recipe, params)
     else:
-        phi = _project(_load_field_csv(cfg.init_phi[len("file:"):], "phi", grid))
+        phi = _project(files["phi"])
 
     if not cfg.coupled:
         return phi, None
@@ -199,5 +199,5 @@ def build_initial_fields(cfg: SolverConfig, grid: Grid,
     elif cfg.init_v == "fourier":
         v = random_fourier_velocity(recipe, grid, rng)
     else:
-        v = _project(_load_field_csv(cfg.init_v[len("file:"):], "v", grid))
+        v = _project(files["v"])
     return phi, v

@@ -6,18 +6,21 @@ directory holds ``config.echo`` (reparseable), ``series.csv``, optional
 ``snap_<t>.csv`` files, and a ``report.json`` summary.  All CSV output
 uses shortest round-trip float formatting so a read back followed by a
 rewrite is byte identical.
+
+Field files (snapshots, initial data, ``measure`` input) are ``x,<column>``
+CSVs, possibly with more columns; `read_field` is their one reader.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .config import config_echo
+from .grid import Field, Grid
 from .series import TimeSeries
 from .solver import RunResult, Snapshot
 
@@ -25,13 +28,11 @@ __all__ = [
     "run_directory",
     "snapshot_filename",
     "write_snapshot",
-    "read_snapshot",
+    "read_field",
     "write_report",
     "read_report",
     "write_run",
 ]
-
-_SNAP_RE = re.compile(r"^snap_(?P<t>[^/]+)\.csv$")
 
 
 def run_directory(base, command: str, name: str | None = None) -> Path:
@@ -70,21 +71,31 @@ def write_snapshot(out_dir, snap: Snapshot) -> Path:
     return path
 
 
-def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(t, x, phi, v)`` from a snapshot file.
+def read_field(path, column: str, grid: Grid | None = None) -> Field:
+    """The named column of a field file, on ``grid``.
 
-    The time is recovered from the file name, which is how snapshots are
-    keyed on disk.
+    The file's first column must be ``x`` and lie within 1e-9 L of the
+    grid's points, and the column's values must be finite.  Without a grid
+    the file's own ``Grid(rows, -x[0])`` is used.
     """
-    path = Path(path)
-    m = _SNAP_RE.match(path.name)
-    if m is None:
-        raise ValueError(f"not a snapshot file name: {path.name!r}")
     table = TimeSeries.from_csv(path)
-    if len(table.names) != 3:
-        raise ValueError(f"expected 3 columns in {path}, got {len(table.names)}")
-    x, phi, v = (table[name] for name in table.names)
-    return float(m.group("t")), x, phi, v
+    if table.names[0] != "x":
+        raise ValueError(f"{path}: first column must be x, header is {list(table.names)}")
+    if column not in table:
+        raise ValueError(f"{path}: no column {column!r} in header {list(table.names)}")
+    x = table["x"]
+    if grid is None:
+        grid = Grid(x.size, -float(x[0]))
+    elif x.size != grid.n:
+        raise ValueError(f"{path}: {x.size} rows, grid wants {grid.n}")
+    if not np.allclose(x, grid.x, rtol=0.0, atol=1e-9 * grid.half_length):
+        raise ValueError(f"{path}: x runs from {x[0]:g} to {x[-1]:g}, not on the grid "
+                         f"n = {grid.n}, L = {grid.half_length:g} (from {grid.x[0]:g} "
+                         f"to {grid.x[-1]:g})")
+    values = table[column]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: column {column!r} holds non-finite values")
+    return Field(grid, values)
 
 
 def write_report(out_dir, payload: dict) -> Path:

@@ -30,6 +30,7 @@ from .series import TimeSeries
 from .waves import Params
 
 __all__ = [
+    "VARIANTS",
     "PredictorConfig",
     "langer_period",
     "p_fit",
@@ -42,7 +43,7 @@ __all__ = [
     "handshake",
 ]
 
-_VARIANTS = ("langer", "eig_full", "eig_half")
+VARIANTS = ("langer", "eig_full", "eig_half")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class PredictorConfig:
     eig_table: EigTable | None = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.t0 < 0:
             raise ValueError("t0 must be nonnegative")
         if self.variant != "langer" and self.eig_table is None:
@@ -89,14 +90,7 @@ def _check_times(t: np.ndarray, t0: float) -> None:
 def langer_period(t, params: Params, p0: float | None = None, t0: float = 0.0):
     """Logarithmic spacing law p(t) = p0 + ell ln(1 + r (t - t0) e^{-p0/ell})
     with ell = sqrt(2 kappa / beta) and r = 16 beta^2 / kappa."""
-    if p0 is None:
-        p0 = params.p_s
-    t = np.asarray(t, dtype=float)
-    _check_times(t, t0)
-    ell = _interaction_scale(params)
-    rate = 16.0 * params.beta**2 / params.kappa
-    out = p0 + ell * np.log1p(rate * (t - t0) * math.exp(-p0 / ell))
-    return float(out) if out.ndim == 0 else out
+    return p_fit(t, 1.0, 1.0, params, p0=p0, t0=t0)
 
 
 def p_fit(t, c1: float, c2: float, params: Params, p0: float | None = None, t0: float = 0.0):

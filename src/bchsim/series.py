@@ -13,17 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["TimeSeries", "SERIES_COLUMNS"]
-
-SERIES_COLUMNS = (
-    "t",
-    "free_energy",
-    "kinetic_energy",
-    "h1_phi",
-    "h1_v",
-    "period",
-    "balance_residual",
-)
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .energy import EnergyPeriodTable
+from .energy import coarseness_table
 from .grid import Field, Grid
 from .series import TimeSeries
 from .waves import Params
@@ -201,16 +201,6 @@ class RunResult:
     resolution_tail: float
 
 
-_TABLE_CACHE: dict = {}
-
-
-def _coarseness_table(params: Params) -> EnergyPeriodTable:
-    key = (params.alpha, params.beta, params.kappa, params.half_length)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = EnergyPeriodTable.build(params)
-    return _TABLE_CACHE[key]
-
-
 def run(config: SolverConfig) -> RunResult:
     """Integrate a configured run, collecting diagnostics and snapshots."""
     from . import initial
@@ -230,7 +220,7 @@ def run(config: SolverConfig) -> RunResult:
     phi_hat = grid.spectral(phi0.values)
     v_hat = None if v0 is None else grid.spectral(v0.values)
 
-    table = _coarseness_table(params)
+    table = coarseness_table(params)
     snaps_due = sorted(cfg.snapshot_times)
     snapshots: list[Snapshot] = []
 

@@ -31,7 +31,6 @@ from scipy.integrate import quad
 __all__ = [
     "Params",
     "ellip_k",
-    "jacobi_sn",
     "sn_cn_dn",
     "WaveProfile",
     "periodic_wave",
@@ -184,10 +183,6 @@ def sn_cn_dn(u, k: float, *, complement: float | None = None):
     cn = np.cos(phi)
     dn = cn / np.cos(phi_prev - phi)
     return sn, cn, dn
-
-
-def jacobi_sn(u, k: float):
-    return sn_cn_dn(u, k)[0]
 
 
 def _modulus(a: float, params: Params) -> tuple[float, float]:

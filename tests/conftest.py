@@ -1,6 +1,6 @@
 import pytest
 
-from bchsim.energy import EnergyPeriodTable
+from bchsim.energy import coarseness_table
 from bchsim.evans import build_eig_table
 from bchsim.waves import Params
 
@@ -12,7 +12,7 @@ def params():
 
 @pytest.fixture(scope="session")
 def energy_table(params):
-    return EnergyPeriodTable.build(params)
+    return coarseness_table(params)
 
 
 @pytest.fixture(scope="session")

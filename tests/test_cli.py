@@ -8,6 +8,7 @@ import pytest
 import bchsim.cli as cli
 from bchsim.cli import main
 from bchsim.ensemble import EnsembleReport
+from bchsim.grid import Grid
 from bchsim.io import read_report
 from bchsim.predictors import p_fit
 from bchsim.series import TimeSeries
@@ -120,6 +121,11 @@ def test_ensemble_partial_exit_code(tmp_path, fast_config, monkeypatch):
     assert report["trial_series"] == ["trial_00.csv", None]
 
 
+def _field_file(path, grid, phi):
+    TimeSeries(x=grid.x, phi=phi).to_csv(path)
+    return path
+
+
 def test_usage_errors_exit_one(tmp_path, fast_config):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -135,6 +141,48 @@ def test_usage_errors_exit_one(tmp_path, fast_config):
     assert main(["fit", "--series", str(ragged)]) == 1
     assert main(["measure", "--snapshot", str(tmp_path / "none.csv")]) == 1
     assert main(["waves", "table", "--da", "-0.1", "--out", str(tmp_path)]) == 1
+    g = Grid(256)
+    phi = 0.1 * np.sin(np.pi * g.x)
+    phi[7] = np.nan
+    nan_init = tmp_path / "nan.cfg"
+    nan_init.write_text(FAST_CFG + f"init_phi = file:{_field_file(tmp_path / 'nan.csv', g, phi)}\n")
+    assert main(["simulate", "--config", str(nan_init), "--out", str(tmp_path)]) == 1
+    assert main(["ensemble", "--config", str(nan_init), "--trials", "1",
+                 "--out", str(tmp_path)]) == 1
+    missing_init = tmp_path / "missing.cfg"
+    missing_init.write_text(FAST_CFG + f"init_phi = file:{tmp_path / 'gone.csv'}\n")
+    assert main(["simulate", "--config", str(missing_init), "--out", str(tmp_path)]) == 1
+    odd_n = tmp_path / "odd.cfg"
+    odd_n.write_text("coupling = uncoupled\nn = 100\n")
+    assert main(["simulate", "--config", str(odd_n), "--out", str(tmp_path)]) == 1
+
+
+def test_init_file_on_another_box_exits_one(tmp_path, capsys):
+    g = Grid(256, 2.0)
+    path = _field_file(tmp_path / "wide.csv", g, 0.1 * np.sin(np.pi * g.x))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG + f"L = 1.0\ninit_phi = file:{path}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "x runs from -2 to 1.98438" in err
+    assert "n = 256, L = 1 (from -1 to 0.992188)" in err
+    assert not (tmp_path / "o" / "simulate").exists()
+    coupled = tmp_path / "coupled.cfg"
+    coupled.write_text("coupling = advective\nn = 256\nt_final = 0.02\ndt = 1e-4\n")
+    assert main(["compare", "--config", str(coupled), "--uncoupled-config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert f"bad config {cfg}" in capsys.readouterr().err
+
+
+def test_bad_eig_tables_exit_one(tmp_path, capsys):
+    # a nan eigenvalue, then periods out of order, in the middle row
+    for name, middle in (("nan", "0.5,0.25,nan"), ("order", "0.5,0.2,1.5")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("amplitude,period,lambda_max,kappa\n0.2,0.21,2.5,0.001\n"
+                        f"{middle},0.001\n0.8,0.35,0.4,0.001\n")
+        assert main(["predict", "--method", "eig", "--table", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "bad table" in capsys.readouterr().err
 
 
 def test_measure_rejects_irregular_snapshots(tmp_path):
@@ -147,6 +195,10 @@ def test_measure_rejects_irregular_snapshots(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("x,phi,v\n-1.0,0.0,0.0\n0.0,0.0\n")
     assert main(["measure", "--snapshot", str(ragged)]) == 1
+    g = Grid(64)
+    phi = 0.1 * np.sin(np.pi * g.x)
+    phi[5] = np.nan
+    assert main(["measure", "--snapshot", str(_field_file(tmp_path / "nan.csv", g, phi))]) == 1
 
 
 def test_waves_table_format(tmp_path, capsys):

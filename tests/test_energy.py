@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 from bchsim.energy import (
     ClampWarning,
     EnergyPeriodTable,
+    coarseness_table,
     energy_of_period,
     energy_scale,
     free_energy,
@@ -79,6 +80,21 @@ def test_energy_of_period_consistent(params):
     p = period_of_amplitude(0.6, params)
     assert energy_of_period(p, params) == pytest.approx(
         wave_window_energy(0.6, params), rel=1e-12)
+
+
+def test_energy_of_period_rejects_non_finite_periods(params):
+    # nan fails both the p < p_min and the p == p_min test, and inf has no
+    # amplitude; neither may end at some energy of the family
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            energy_of_period(p, params)
+
+
+def test_coarseness_table_is_shared_across_flow_parameters(params):
+    table = coarseness_table(params)
+    assert coarseness_table(Params(nu=1.0, K=3.0)) is table
+    assert coarseness_table(Params(kappa=2e-3)) is not table
+    assert np.array_equal(table.periods, EnergyPeriodTable.build(params).periods)
 
 
 def test_energy_scale_landmarks(params):

@@ -6,8 +6,8 @@ import pytest
 from bchsim.config import SolverConfig, parse_config
 from bchsim.grid import Field, Grid
 from bchsim.io import (
+    read_field,
     read_report,
-    read_snapshot,
     run_directory,
     snapshot_filename,
     write_report,
@@ -49,18 +49,16 @@ def test_snapshot_round_trip(tmp_path):
     v = Field(g, 0.2 * np.cos(2 * np.pi * g.x))
     path = write_snapshot(tmp_path, Snapshot(0.125, phi, v))
     assert path.name == "snap_0.125.csv"
-    t, x, phi_r, v_r = read_snapshot(path)
-    assert t == 0.125
-    assert np.array_equal(x, g.x)
-    assert np.array_equal(phi_r, phi.values)
-    assert np.array_equal(v_r, v.values)
+    phi_r, v_r = read_field(path, "phi"), read_field(path, "v", g)
+    assert phi_r.grid == g
+    assert np.array_equal(phi_r.values, phi.values)
+    assert np.array_equal(v_r.values, v.values)
 
 
 def test_snapshot_none_velocity_writes_zeros(tmp_path):
     g = Grid(32)
     path = write_snapshot(tmp_path, Snapshot(2.0, Field(g, g.x), None))
-    _, _, _, v = read_snapshot(path)
-    assert np.all(v == 0.0)
+    assert np.all(read_field(path, "v").values == 0.0)
 
 
 def test_snapshot_filename_uses_general_format():
@@ -68,18 +66,44 @@ def test_snapshot_filename_uses_general_format():
     assert snapshot_filename(0.0001) == "snap_0.0001.csv"
 
 
-def test_read_snapshot_rejects_foreign_names(tmp_path):
-    bad = tmp_path / "series.csv"
-    bad.write_text("x,phi,v\n0,0,0\n")
-    with pytest.raises(ValueError, match="snapshot"):
-        read_snapshot(bad)
+def _field_file(path, x, phi):
+    TimeSeries(x=x, phi=phi).to_csv(path)
+    return path
 
 
-def test_read_snapshot_rejects_wrong_column_count(tmp_path):
-    bad = tmp_path / "snap_1.csv"
-    bad.write_text("x,phi\n0.0,0.0\n0.1,0.2\n")
-    with pytest.raises(ValueError, match="3 columns"):
-        read_snapshot(bad)
+def test_read_field_rejects_missing_column(tmp_path):
+    g = Grid(8)
+    bad = _field_file(tmp_path / "snap_1.csv", g.x, np.zeros(g.n))
+    with pytest.raises(ValueError, match="no column 'v'"):
+        read_field(bad, "v")
+    TimeSeries(y=g.x, phi=g.x).to_csv(tmp_path / "y.csv")
+    with pytest.raises(ValueError, match="first column must be x"):
+        read_field(tmp_path / "y.csv", "phi")
+
+
+def test_read_field_checks_rows_and_grid(tmp_path):
+    g = Grid(8)
+    path = _field_file(tmp_path / "f.csv", g.x, np.zeros(g.n))
+    with pytest.raises(ValueError, match="8 rows, grid wants 16"):
+        read_field(path, "phi", Grid(16))
+    with pytest.raises(ValueError, match="power of two"):
+        read_field(_field_file(tmp_path / "six.csv", g.x[:6], np.zeros(6)), "phi")
+    with pytest.raises(ValueError, match=r"not on the grid n = 8, L = 2"):
+        read_field(path, "phi", Grid(8, 2.0))
+    shifted = _field_file(tmp_path / "s.csv", g.x + 1e-6, np.zeros(g.n))
+    with pytest.raises(ValueError, match="not on the grid"):
+        read_field(shifted, "phi", g)
+    nudged = _field_file(tmp_path / "n.csv", g.x + 1e-12, np.zeros(g.n))
+    assert read_field(nudged, "phi", g).grid == g
+
+
+def test_read_field_rejects_non_finite_values(tmp_path):
+    g = Grid(8)
+    for bad in (np.nan, np.inf):
+        phi = np.zeros(g.n)
+        phi[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            read_field(_field_file(tmp_path / "f.csv", g.x, phi), "phi")
 
 
 def test_report_round_trip(tmp_path):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -23,10 +24,10 @@ from . import io as runio
 from .config import SolverConfig, config_echo, parse_config_file
 from .energy import coarseness_table, free_energy, kohn_otto_length, period_from_energy, wave_window_energy
 from .ensemble import compare_coupled, run_ensemble
-from .evans import EigTable, build_eig_table, default_amplitudes
+from .evans import EigTable, build_eig_table, default_amplitudes, half_map_steps
 from .grid import Field
 from .initial import read_file_fields
-from .predictors import PredictorConfig, fit_pfit, predicted_energy_curve
+from .predictors import PredictorConfig, fit_pfit, fit_window, predicted_energy_curve
 from .series import TimeSeries
 from .solver import run
 from .waves import Params, periodic_wave
@@ -46,11 +47,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _thresholds(text: str) -> tuple[float, ...]:
+def _finite_float(text: str) -> float:
     try:
-        vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad threshold list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _rk_steps(text: str) -> int:
+    try:
+        steps = int(text)
+        half_map_steps(steps)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return steps
+
+
+def _thresholds(text: str) -> tuple[float, ...]:
+    vals = tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
     if not vals:
         raise argparse.ArgumentTypeError("threshold list is empty")
     return vals
@@ -83,41 +107,42 @@ def _build_parser() -> _Parser:
     p_pred.add_argument("--method", choices=("langer", "eig"), default="langer")
     p_pred.add_argument("--half", action="store_true",
                         help="half-factor variant of the eigenvalue rate")
-    p_pred.add_argument("--p0", type=float, help="starting period (default: spinodal period)")
-    p_pred.add_argument("--t0", type=float, default=0.0)
-    p_pred.add_argument("--t-max", type=float, default=20.0)
+    p_pred.add_argument("--p0", type=_finite_float,
+                        help="starting period (default: spinodal period)")
+    p_pred.add_argument("--t0", type=_finite_float, default=0.0)
+    p_pred.add_argument("--t-max", type=_finite_float, default=20.0)
     p_pred.add_argument("--samples", type=int, default=201)
-    p_pred.add_argument("--kappa", type=float, help="override interface parameter")
+    p_pred.add_argument("--kappa", type=_positive_float, help="override interface parameter")
     p_pred.add_argument("--table", help="eigenvalue table CSV (eig method)")
 
     p_fit = sub.add_parser("fit", parents=[common],
                            help="fit the logarithmic period law to a series CSV")
     p_fit.add_argument("--series", required=True, help="series.csv from a run")
-    p_fit.add_argument("--t-max", type=float, default=20.0)
-    p_fit.add_argument("--t0", type=float, default=0.0)
-    p_fit.add_argument("--p0", type=float)
-    p_fit.add_argument("--kappa", type=float)
+    p_fit.add_argument("--t-max", type=_finite_float, default=20.0)
+    p_fit.add_argument("--t0", type=_finite_float, default=0.0)
+    p_fit.add_argument("--p0", type=_finite_float)
+    p_fit.add_argument("--kappa", type=_positive_float)
 
     p_waves = sub.add_parser("waves", help="periodic wave tables")
     waves_sub = p_waves.add_subparsers(dest="waves_command", required=True)
     w_table = waves_sub.add_parser("table", parents=[common],
                                    help="amplitude, period, modulus, energy table")
-    w_table.add_argument("--da", type=float, default=0.01)
-    w_table.add_argument("--kappa", type=float)
+    w_table.add_argument("--da", type=_positive_float, default=0.01)
+    w_table.add_argument("--kappa", type=_positive_float)
 
     p_evans = sub.add_parser("evans", help="Floquet eigenvalue tables")
     evans_sub = p_evans.add_subparsers(dest="evans_command", required=True)
     e_table = evans_sub.add_parser("table", parents=[common],
                                    help="leading eigenvalue per amplitude")
-    e_table.add_argument("--da", type=float, default=0.01)
-    e_table.add_argument("--p-max", type=float)
-    e_table.add_argument("--rk-steps", type=int, default=2048)
-    e_table.add_argument("--kappa", type=float)
+    e_table.add_argument("--da", type=_positive_float, default=0.01)
+    e_table.add_argument("--p-max", type=_positive_float)
+    e_table.add_argument("--rk-steps", type=_rk_steps, default=2048)
+    e_table.add_argument("--kappa", type=_positive_float)
 
     p_meas = sub.add_parser("measure", parents=[common],
                             help="energy, period, interface length of one snapshot")
     p_meas.add_argument("--snapshot", required=True, help="CSV with columns x,phi[,v]")
-    p_meas.add_argument("--kappa", type=float)
+    p_meas.add_argument("--kappa", type=_positive_float)
 
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="coupled run against its uncoupled twin")
@@ -159,8 +184,6 @@ def _params_for(args) -> tuple[SolverConfig | None, Params]:
     params = cfg.params if cfg is not None else SolverConfig().params
     kappa = getattr(args, "kappa", None)
     if kappa is not None:
-        if kappa <= 0:
-            raise UsageError("--kappa must be positive")
         params = replace(params, kappa=kappa)
     return cfg, params
 
@@ -255,7 +278,8 @@ def _cmd_predict(args) -> int:
 def _cmd_fit(args) -> int:
     _, params = _params_for(args)
     series = _read("series", TimeSeries.from_csv, args.series)
-    result = fit_pfit(series, params, t_max=args.t_max, p0=args.p0, t0=args.t0)
+    window = _read(f"series {args.series}", fit_window, series, args.t_max, args.t0)
+    result = fit_pfit(window, params, t_max=args.t_max, p0=args.p0, t0=args.t0)
     payload = {"c1": float(result.c1), "c2": float(result.c2),
                "objective": float(result.objective)}
     print(json.dumps(payload))
@@ -268,8 +292,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_waves_table(args) -> int:
     _, params = _params_for(args)
-    if args.da <= 0:
-        raise UsageError("--da must be positive")
     binodal = params.binodal
     amps = np.arange(args.da, binodal, args.da)
     amps = amps[amps < binodal * (1.0 - 1e-12)]
@@ -288,8 +310,6 @@ def _cmd_waves_table(args) -> int:
 
 def _cmd_evans_table(args) -> int:
     _, params = _params_for(args)
-    if args.da <= 0:
-        raise UsageError("--da must be positive")
     amps = default_amplitudes(params, da=args.da, p_max=args.p_max)
     table = build_eig_table(params, amplitudes=amps, rk_steps=args.rk_steps,
                             p_max=args.p_max, workers=max(1, args.threads))

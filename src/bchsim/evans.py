@@ -20,10 +20,11 @@ that membership test downward from a bracket hint, which amplitude
 continuation supplies when tabulating.
 
 b, b' and b'' come from the closed-form wave, so no numerical
-differentiation enters the coefficients.  The RK4 transfer matrices of all
-steps are built in one vectorized batch and multiplied pairwise, which is
-algebraically the classical fixed-step RK4 for the matrix initial value
-problem.
+differentiation enters the coefficients.  A(x; lambda) = A0(x) + lambda F
+with F = -(1/kappa) e3 e0^T, so each classical fixed-step RK4 transfer
+matrix is exactly a quartic in lambda.  Its five coefficient matrices are
+built once per wave, for all steps in one vectorized batch; each lambda then
+costs four Horner updates of that stack and a pairwise ordered product.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .waves import Params, WaveProfile, period_of_amplitude, periodic_wave
 __all__ = [
     "Monodromy",
     "monodromy",
+    "half_map_steps",
     "evans",
     "floquet_multipliers",
     "LeadingEigenvalue",
@@ -75,31 +77,59 @@ def _coefficients(wave: WaveProfile, x: np.ndarray, params: Params):
     return b, bp, bpp
 
 
-def _step_propagators(
-    wave: WaveProfile, lam: float, params: Params, rk_steps: int, x_end: float
-) -> np.ndarray:
-    """RK4 one-step transfer matrices for all rk_steps over [0, x_end]."""
+def _step_polynomial(wave: WaveProfile, params: Params, rk_steps: int, x_end: float) -> np.ndarray:
+    """RK4 one-step transfer matrices over [0, x_end] as a quartic in lambda.
+
+    Returns C of shape (5, rk_steps, 4, 4): step i's propagator at lambda is
+    sum_j lambda^j C[j, i].  A(x; lambda) = A0(x) + lambda F, and every RK4
+    stage multiplies by A once more, so stage k_s has degree s in lambda.  A
+    stage is a stack of coefficient matrices; A0 M shifts the rows of M up and
+    puts the coefficient row r(x) M in row 3, and F M puts -M[0] / kappa there.
+    """
     h = x_end / rk_steps
     x = 0.5 * h * np.arange(2 * rk_steps + 1)
     b, bp, bpp = _coefficients(wave, x, params)
     inv_kappa = 1.0 / params.kappa
-    amat = np.zeros((x.size, 4, 4))
-    amat[:, 0, 1] = 1.0
-    amat[:, 1, 2] = 1.0
-    amat[:, 2, 3] = 1.0
-    amat[:, 3, 0] = (bpp - lam) * inv_kappa
-    amat[:, 3, 1] = 2.0 * bp * inv_kappa
-    amat[:, 3, 2] = b * inv_kappa
+    rows = np.stack([bpp * inv_kappa, 2.0 * bp * inv_kappa, b * inv_kappa], axis=-1)
+    eye = np.eye(4)
 
-    a1 = amat[0:-1:2]
-    a2 = amat[1::2]
-    a4 = amat[2::2]
-    eye = np.broadcast_to(np.eye(4), a1.shape)
-    k1 = a1
-    k2 = a2 @ (eye + 0.5 * h * k1)
-    k3 = a2 @ (eye + 0.5 * h * k2)
-    k4 = a4 @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def times_a(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+        out = np.zeros((m.shape[0] + 1,) + m.shape[1:])
+        out[:-1, :, :3] = m[:, :, 1:]
+        out[:-1, :, 3] = (r[:, 0, None] * m[:, :, 0] + r[:, 1, None] * m[:, :, 1]
+                          + r[:, 2, None] * m[:, :, 2])
+        out[1:, :, 3] -= inv_kappa * m[:, :, 0]
+        return out
+
+    def eye_plus(m: np.ndarray, c: float) -> np.ndarray:
+        """I + c m, in place."""
+        m *= c
+        m[0] += eye
+        return m
+
+    # each stage is summed into poly as soon as it is made and then scaled
+    # in place into the next stage's argument, so little is alive at a time
+    r1, r2, r4 = rows[0:-1:2], rows[1::2], rows[2::2]
+    poly = np.zeros((5, rk_steps, 4, 4))
+    k = times_a(r1, np.broadcast_to(eye, (1, rk_steps, 4, 4)))
+    poly[:2] = k
+    k = times_a(r2, eye_plus(k, 0.5 * h))
+    poly[:3] += 2.0 * k
+    k = times_a(r2, eye_plus(k, 0.5 * h))
+    poly[:4] += 2.0 * k
+    k = times_a(r4, eye_plus(k, h))
+    poly += k
+    return eye_plus(poly, h / 6.0)
+
+
+def _transfer(poly: np.ndarray, lam: float) -> np.ndarray:
+    """Ordered product of the step propagators sum_j lam^j poly[j], by Horner."""
+    mats = poly[-1] * lam
+    for coef in poly[-2:0:-1]:
+        mats += coef
+        mats *= lam
+    mats += poly[0]
+    return _ordered_product(mats)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -119,23 +149,20 @@ def monodromy(lam: float, a: float, params: Params, rk_steps: int = 2048) -> Mon
     if rk_steps < 256:
         raise ValueError(f"rk_steps must be at least 256, got {rk_steps}")
     wave = periodic_wave(a, params)
-    props = _step_propagators(wave, lam, params, rk_steps, wave.period)
-    mat = _ordered_product(props)
+    mat = _transfer(_step_polynomial(wave, params, rk_steps, wave.period), lam)
     return Monodromy(matrix=mat.astype(complex), period=wave.period, lam=lam, rk_steps=rk_steps)
 
 
-def _half_monodromy(lam: float, a: float, params: Params, rk_steps: int) -> tuple[np.ndarray, float]:
-    """Transfer matrix over half a period, where the coefficients already repeat.
+def half_map_steps(rk_steps: int) -> int:
+    """RK4 steps over half a period at rk_steps steps per period.
 
-    b = F''(phi) depends on phi only through phi^2, and phi(x + p/2) = -phi(x),
-    so b, b', b'' all have period p/2.  The full monodromy is the square of
-    this matrix; its norm is the square root, which roughly doubles the period
-    range over which unit-circle multipliers stay resolvable.
+    The membership test integrates half a period (see _in_spectrum), so
+    rk_steps must be even, and at least 512 keeps the half map on at least
+    the 256 steps that monodromy requires.
     """
-    wave = periodic_wave(a, params)
-    steps = max(rk_steps // 2, 256)
-    props = _step_propagators(wave, lam, params, steps, 0.5 * wave.period)
-    return _ordered_product(props), wave.period
+    if rk_steps < 512 or rk_steps % 2:
+        raise ValueError(f"rk_steps must be an even number of at least 512, got {rk_steps}")
+    return rk_steps // 2
 
 
 def floquet_multipliers(mono: Monodromy) -> np.ndarray:
@@ -187,15 +214,17 @@ def _reciprocal_pair_w(matrix: np.ndarray) -> tuple[float, float] | None:
     return w_big, (c2 - 2.0) / w_big
 
 
-def _in_spectrum(lam: float, a: float, params: Params, rk_steps: int) -> tuple[bool, float]:
-    """Unit-circle membership through the half-period map.
+def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float]:
+    """Unit-circle membership of lam through the half-period map.
 
-    The coefficients repeat at half the wave period, the half map's
-    multipliers are square roots of the full ones, and membership transfers
-    verbatim while the Bloch phase doubles.
+    b = F''(phi) depends on phi only through phi^2, and phi(x + p/2) = -phi(x),
+    so b, b', b'' all have period p/2 and the full monodromy is the square of
+    the half map.  The half map's multipliers are square roots of the full
+    ones, so membership transfers verbatim while the Bloch phase doubles; its
+    norm is the square root of the full one, which roughly doubles the period
+    range over which unit-circle multipliers stay resolvable.
     """
-    half, _ = _half_monodromy(lam, a, params, rk_steps)
-    ws = _reciprocal_pair_w(half)
+    ws = _reciprocal_pair_w(_transfer(half_poly, lam))
     if ws is None:
         return False, 0.0
     on_circle = [w for w in ws if abs(w) <= 2.0 + _UNIT_CIRCLE_TOL]
@@ -228,15 +257,18 @@ def leading_eigenvalue(
     circle, which is the zero set of min_xi |D(lam, xi)| in exact
     arithmetic but much better conditioned to evaluate.  Bisection runs
     between an inside point (found by halving downward from the hint) and
-    an outside point just above the hint.
+    an outside point just above the hint.  The half-period transfer
+    polynomial is built once, and every membership test evaluates it.
     """
     hint = params.lambda_top if bracket_hint is None else float(bracket_hint)
     if hint <= 0:
         raise ValueError("bracket hint must be positive")
+    wave = periodic_wave(a, params)
+    half = _step_polynomial(wave, params, half_map_steps(rk_steps), 0.5 * wave.period)
 
     hi = hint * 1.05
     for _ in range(60):
-        inside, _ = _in_spectrum(hi, a, params, rk_steps)
+        inside, _ = _in_spectrum(half, hi)
         if not inside:
             break
         hi *= 1.3
@@ -246,17 +278,17 @@ def leading_eigenvalue(
     lo = min(hint, hi / 1.05)
     phase = 0.0
     for _ in range(60):
-        inside, phase = _in_spectrum(lo, a, params, rk_steps)
+        inside, phase = _in_spectrum(half, lo)
         if inside:
             break
         lo *= 0.5
     else:
         raise RuntimeError(f"no spectrum found below {hint} for a={a} after 60 halvings")
 
-    period = periodic_wave(a, params).period
+    period = wave.period
     while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
-        inside, ph = _in_spectrum(mid, a, params, rk_steps)
+        inside, ph = _in_spectrum(half, mid)
         if inside:
             lo, phase = mid, ph
         else:
@@ -352,9 +384,11 @@ def build_eig_table(
 ) -> EigTable:
     """Tabulate the leading eigenvalue with amplitude continuation.
 
-    A sequential coarse pass (every fourth amplitude) chains bracket hints;
-    the remaining amplitudes inherit interpolated hints and can be filled
-    in parallel since each bisection is then independent.
+    A sequential coarse pass (every fourth amplitude, and the last) chains
+    bracket hints, each 1.1 times the previous coarse value.  Every other
+    amplitude takes 1.1 times the value of the nearest coarse row to its
+    left as its hint, so those bisections are independent and can run in
+    parallel.
     """
     if amplitudes is None:
         amplitudes = default_amplitudes(params, p_max=p_max)

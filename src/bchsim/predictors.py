@@ -38,6 +38,7 @@ __all__ = [
     "predict_periods",
     "predicted_energy_curve",
     "FitResult",
+    "fit_window",
     "fit_pfit",
     "Handshake",
     "handshake",
@@ -209,24 +210,13 @@ class FitResult:
         return p_fit(t, self.c1, self.c2, self.params, p0=self.p0, t0=self.t0)
 
 
-def fit_pfit(
-    series,
-    params: Params,
-    t_max: float = 20.0,
-    p0: float | None = None,
-    t0: float = 0.0,
-    starts=((1.0, 1.0), (5.0, 5.0)),
-) -> FitResult:
-    """Fit (c1, c2) to measured spacing data on [0, t_max].
+def fit_window(series, t_max: float = 20.0, t0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, period) samples of series with max(t0, 0) < t <= t_max.
 
     series is a TimeSeries with t and period columns, or a (times, periods)
-    pair.  The objective is the trapezoid rule for the integral of
-    |P_fit(t) - p(t)|^2 / ln(1 + t) dt over samples with 0 < t <= t_max;
-    the diverging weight excludes the t = 0 sample.  Nelder--Mead runs in
-    log(c1, c2) space from each start and the best minimum wins.
+    pair.  Raises ValueError when fewer than 3 samples fall in the window or
+    any of them is not finite.
     """
-    if p0 is None:
-        p0 = params.p_s
     if isinstance(series, TimeSeries):
         times, periods = series["t"], series["period"]
     else:
@@ -239,6 +229,33 @@ def fit_pfit(
     tt, pp = times[keep], periods[keep]
     if tt.size < 3:
         raise ValueError("need at least 3 samples in (t0, t_max] to fit")
+    if not np.all(np.isfinite(pp)):
+        bad = tt[~np.isfinite(pp)]
+        raise ValueError(f"non-finite period at t = {bad[0]:g} "
+                         f"({bad.size} of {tt.size} samples in (t0, t_max])")
+    return tt, pp
+
+
+def fit_pfit(
+    series,
+    params: Params,
+    t_max: float = 20.0,
+    p0: float | None = None,
+    t0: float = 0.0,
+    starts=((1.0, 1.0), (5.0, 5.0)),
+) -> FitResult:
+    """Fit (c1, c2) to measured spacing data on [0, t_max].
+
+    series is a TimeSeries with t and period columns, or a (times, periods)
+    pair; fit_window picks and checks the samples.  The objective is the
+    trapezoid rule for the integral of |P_fit(t) - p(t)|^2 / ln(1 + t) dt
+    over samples with 0 < t <= t_max; the diverging weight excludes the
+    t = 0 sample.  Nelder--Mead runs in log(c1, c2) space from each start
+    and the best minimum wins.
+    """
+    if p0 is None:
+        p0 = params.p_s
+    tt, pp = fit_window(series, t_max, t0)
     if np.ptp(pp) == 0.0:
         raise ValueError("period data is constant, nothing to fit")
     weight = 1.0 / np.log1p(tt)

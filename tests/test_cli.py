@@ -86,6 +86,21 @@ def test_fit_degenerate_series_is_numerical_failure(tmp_path):
     assert main(["fit", "--series", str(tmp_path / "flat.csv")]) == 2
 
 
+def test_fit_non_finite_series_exits_one(tmp_path, capsys):
+    t = np.linspace(0.0, 10.0, 60)
+    period = p_fit(t, 3.0, 7.0, Params())
+    period[30] = np.nan
+    path = tmp_path / "series.csv"
+    TimeSeries(t=t, period=period).to_csv(path)
+    assert main(["fit", "--series", str(path), "--t-max", "10",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"bad series {path}: non-finite period" in err
+    # the nan row at t = 5.08 lies outside (0, 4]
+    assert main(["fit", "--series", str(path), "--t-max", "4",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 def test_ensemble_writes_trials_and_mean(tmp_path, fast_config):
     code = main(["ensemble", "--config", str(fast_config), "--trials", "2",
                  "--no-overlays", "--out", str(tmp_path / "o"), "--name", "e"])
@@ -213,6 +228,35 @@ def test_waves_table_format(tmp_path, capsys):
     assert periods == sorted(periods)
     report = read_report(tmp_path / "o" / "waves" / "w")
     assert report["rows"] == len(rows)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["evans", "table", "--da", "nan"], "--da"),
+    (["evans", "table", "--p-max", "0"], "--p-max"),
+    (["evans", "table", "--p-max", "inf"], "--p-max"),
+    (["evans", "table", "--kappa", "nan"], "--kappa"),
+    (["waves", "table", "--da", "inf"], "--da"),
+    (["predict", "--p0", "nan"], "--p0"),
+    (["predict", "--kappa", "nan"], "--kappa"),
+    (["predict", "--t-max", "inf"], "--t-max"),
+    (["fit", "--series", "series.csv", "--t0", "nan"], "--t0"),
+    (["measure", "--snapshot", "snap.csv", "--kappa", "-1"], "--kappa"),
+    (["compare", "--thresholds", "1.1,nan"], "--thresholds"),
+])
+def test_non_finite_or_non_positive_flags_exit_one(argv, flag, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_evans_table_rejects_rk_steps_it_cannot_honour(tmp_path, capsys):
+    # the membership test integrates half a period at rk_steps / 2 steps
+    for steps in ("100", "-5", "2047", "510"):
+        assert main(["evans", "table", "--rk-steps", steps, "--out", str(tmp_path)]) == 1
+        assert "argument --rk-steps: rk_steps must be an even number" in capsys.readouterr().err
+    code = main(["evans", "table", "--da", "0.3", "--rk-steps", "1024",
+                 "--out", str(tmp_path / "o"), "--name", "ev"])
+    assert code == 0
+    assert read_report(tmp_path / "o" / "evans" / "ev")["rk_steps"] == 1024
 
 
 def test_evans_table_then_predict(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from bchsim import evans as evans_module
 from bchsim.evans import (
     EigTable,
     build_eig_table,
@@ -175,3 +176,89 @@ def test_rescaling_matches_direct_computation(params):
     direct = build_eig_table(p_new, amplitudes=amps)
     assert np.allclose(scaled.lambda_max, direct.lambda_max, rtol=1e-5)
     assert np.allclose(scaled.periods, direct.periods, rtol=1e-12)
+
+
+def _direct_step_propagators(wave, lam, params, rk_steps, x_end):
+    """The per-lambda RK4 transfer matrices the quartic replaced, kept as a reference."""
+    h = x_end / rk_steps
+    x = 0.5 * h * np.arange(2 * rk_steps + 1)
+    phi, phi_x, phi_xx = wave.with_derivatives(x)
+    b = 3.0 * params.alpha * phi**2 - params.beta
+    bp = 6.0 * params.alpha * phi * phi_x
+    bpp = 6.0 * params.alpha * (phi_x**2 + phi * phi_xx)
+    inv_kappa = 1.0 / params.kappa
+    amat = np.zeros((x.size, 4, 4))
+    amat[:, 0, 1] = 1.0
+    amat[:, 1, 2] = 1.0
+    amat[:, 2, 3] = 1.0
+    amat[:, 3, 0] = (bpp - lam) * inv_kappa
+    amat[:, 3, 1] = 2.0 * bp * inv_kappa
+    amat[:, 3, 2] = b * inv_kappa
+
+    a1, a2, a4 = amat[0:-1:2], amat[1::2], amat[2::2]
+    eye = np.broadcast_to(np.eye(4), a1.shape)
+    k1 = a1
+    k2 = a2 @ (eye + 0.5 * h * k1)
+    k3 = a2 @ (eye + 0.5 * h * k2)
+    k4 = a4 @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _direct_map(lam, a, params, rk_steps, fraction):
+    """Transfer matrix over fraction of a period, one direct RK4 pass per lambda."""
+    wave = periodic_wave(a, params)
+    steps = int(rk_steps * fraction)
+    props = _direct_step_propagators(wave, lam, params, steps, fraction * wave.period)
+    return evans_module._ordered_product(props)
+
+
+def _direct_leading_eigenvalue(a, params, hint, rk_steps=2048, rtol=1e-6):
+    """leading_eigenvalue's bracket and bisection over the direct half map."""
+    def inside(lam):
+        ws = evans_module._reciprocal_pair_w(_direct_map(lam, a, params, rk_steps, 0.5))
+        return ws is not None and any(abs(w) <= 2.0 + evans_module._UNIT_CIRCLE_TOL for w in ws)
+
+    hi = hint * 1.05
+    while inside(hi):
+        hi *= 1.3
+    lo = min(hint, hi / 1.05)
+    while not inside(lo):
+        lo *= 0.5
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.9, 0.99, 1.0 - 1e-6])
+def test_transfer_polynomial_matches_direct_rk4(a, params):
+    wave = periodic_wave(a, params)
+    half_poly = evans_module._step_polynomial(wave, params, 1024, 0.5 * wave.period)
+    for lam in [LAMBDA_TOP, 100.0, 10.0, 1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5]:
+        half_ref = _direct_map(lam, a, params, 2048, 0.5)
+        half = evans_module._transfer(half_poly, lam)
+        assert np.max(np.abs(half - half_ref)) <= 1e-11 * np.max(np.abs(half_ref)), (a, lam)
+        # M's entries cancel: near the binodal its largest one sits 1e10
+        # below max|H|^2, the size of the product's terms and of its rounding
+        full_ref = _direct_map(lam, a, params, 2048, 1.0)
+        full = monodromy(lam, a, params).matrix.real
+        scale = max(np.max(np.abs(full_ref)), np.max(np.abs(half_ref)) ** 2)
+        assert np.max(np.abs(full - full_ref)) <= 1e-11 * scale, (a, lam)
+
+
+@pytest.mark.parametrize("a", [0.2, 0.6, 0.9, 0.98])
+def test_leading_eigenvalue_matches_direct_bisection(a, params):
+    rtol = 1e-6
+    lead = leading_eigenvalue(a, params, rtol=rtol)
+    assert lead >= 0.01
+    assert lead == pytest.approx(_direct_leading_eigenvalue(a, params, LAMBDA_TOP, rtol=rtol),
+                                 rel=2.0 * rtol)
+
+
+@pytest.mark.parametrize("rk_steps", [100, 510, 2047, -4])
+def test_leading_eigenvalue_rejects_steps_it_cannot_honour(rk_steps, params):
+    with pytest.raises(ValueError, match="rk_steps"):
+        leading_eigenvalue(0.5, params, rk_steps=rk_steps)

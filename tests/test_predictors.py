@@ -184,6 +184,16 @@ def test_fit_rejects_degenerate_input(params):
         fit_pfit((t[:2], np.array([0.3, 0.4])), params)
 
 
+def test_fit_rejects_non_finite_samples_in_window(params):
+    t = np.linspace(0.1, 10.0, 50)
+    p = p_fit(t, 3.0, 7.0, params)
+    p[30] = np.nan
+    with pytest.raises(ValueError, match="non-finite period at t = 6.16"):
+        fit_pfit((t, p), params)
+    # a sample outside (t0, t_max] is not part of the fit
+    assert fit_pfit((t, p), params, t_max=6.0).c1 == pytest.approx(3.0, rel=1e-4)
+
+
 def test_handshake_finds_spinodal_crossing(params):
     t = np.linspace(0.0, 10.0, 101)
     energies = 0.5 - 0.02 * t  # crosses E_SPINODAL near t = 3.9

@@ -30,7 +30,7 @@ from .initial import read_file_fields
 from .predictors import PredictorConfig, fit_pfit, fit_window, predicted_energy_curve
 from .series import TimeSeries
 from .solver import run
-from .waves import Params, periodic_wave
+from .waves import Params, period_of_amplitude, periodic_wave
 
 __all__ = ["main"]
 
@@ -61,6 +61,13 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -127,14 +134,14 @@ def _build_parser() -> _Parser:
     waves_sub = p_waves.add_subparsers(dest="waves_command", required=True)
     w_table = waves_sub.add_parser("table", parents=[common],
                                    help="amplitude, period, modulus, energy table")
-    w_table.add_argument("--da", type=_positive_float, default=0.01)
+    w_table.add_argument("--da", type=_fraction, default=0.01, help="amplitude step / binodal")
     w_table.add_argument("--kappa", type=_positive_float)
 
     p_evans = sub.add_parser("evans", help="Floquet eigenvalue tables")
     evans_sub = p_evans.add_subparsers(dest="evans_command", required=True)
     e_table = evans_sub.add_parser("table", parents=[common],
                                    help="leading eigenvalue per amplitude")
-    e_table.add_argument("--da", type=_positive_float, default=0.01)
+    e_table.add_argument("--da", type=_fraction, default=0.01, help="amplitude step / binodal")
     e_table.add_argument("--p-max", type=_positive_float)
     e_table.add_argument("--rk-steps", type=_rk_steps, default=2048)
     e_table.add_argument("--kappa", type=_positive_float)
@@ -293,11 +300,11 @@ def _cmd_fit(args) -> int:
 def _cmd_waves_table(args) -> int:
     _, params = _params_for(args)
     binodal = params.binodal
-    amps = np.arange(args.da, binodal, args.da)
+    amps = np.arange(args.da, 1.0, args.da) * binodal
     amps = amps[amps < binodal * (1.0 - 1e-12)]
     waves = [periodic_wave(float(a), params) for a in amps]
     out = _out_dir(args, "waves", None)
-    TimeSeries(amplitude=amps, period=[w.period for w in waves],
+    TimeSeries(amplitude=amps, period=period_of_amplitude(amps, params),
                modulus=[w.modulus for w in waves],
                energy=[wave_window_energy(float(a), params) for a in amps]).to_csv(out / "table.csv")
     runio.write_report(out, {

@@ -396,7 +396,7 @@ def build_eig_table(
     n = amplitudes.size
     values = np.full(n, np.nan)
     xis = np.full(n, np.nan)
-    periods = np.array([periodic_wave(a, params).period for a in amplitudes])
+    periods = period_of_amplitude(amplitudes, params)
 
     coarse = list(range(0, n, 4))
     if coarse[-1] != n - 1:

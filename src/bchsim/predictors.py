@@ -190,8 +190,8 @@ def predict_periods(t_grid, cfg: PredictorConfig, params: Params) -> TimeSeries:
 def predicted_energy_curve(t_grid, cfg: PredictorConfig, params: Params) -> TimeSeries:
     """Compose the period predictor with the wave energy per unit length."""
     series = predict_periods(t_grid, cfg, params)
-    energy = np.array([energy_of_period(p, params) for p in series["period"]])
-    return TimeSeries(t=series["t"], period=series["period"], energy=energy)
+    return TimeSeries(t=series["t"], period=series["period"],
+                      energy=energy_of_period(series["period"], params))
 
 
 @dataclass(frozen=True)

@@ -114,12 +114,18 @@ class Params:
 _EPS = np.finfo(float).eps
 
 
-def _agm(a0: float, b0: float) -> float:
-    a, b = float(a0), float(b0)
+def _agm(b):
+    """AGM(1, b) elementwise; each element stops at its own convergence."""
+    b = np.array(b, dtype=float)
+    a = np.ones_like(b)
     for _ in range(200):
-        if abs(a - b) <= 4.0 * _EPS * abs(a):
+        # a >= b > 0 (arithmetic over geometric mean), so a - b is |a - b|.
+        live = a - b > 4.0 * _EPS * a
+        if not np.count_nonzero(live):
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a_next = 0.5 * (a + b)
+        np.copyto(b, np.sqrt(a * b), where=live)
+        np.copyto(a, a_next, where=live)
     return 0.5 * (a + b)
 
 
@@ -137,7 +143,7 @@ def ellip_k(k: float | None = None, *, complement: float | None = None) -> float
         complement = math.sqrt((1.0 - k) * (1.0 + k))
     if not 0.0 < complement <= 1.0:
         raise ValueError(f"complement must lie in (0, 1], got {complement}")
-    return math.pi / (2.0 * _agm(1.0, complement))
+    return math.pi / (2.0 * float(_agm(complement)))
 
 
 def sn_cn_dn(u, k: float, *, complement: float | None = None):
@@ -176,7 +182,8 @@ def sn_cn_dn(u, k: float, *, complement: float | None = None):
     phi = (2.0**n) * a_list[n] * u
     phi_prev = phi
     for i in range(n, 0, -1):
-        s = np.clip(c_list[i] / a_list[i] * np.sin(phi), -1.0, 1.0)
+        # |c_n| <= a_n in floating point too, so the arcsin argument needs no clip
+        s = c_list[i] / a_list[i] * np.sin(phi)
         phi_prev = phi
         phi = 0.5 * (phi + np.arcsin(s))
     sn = np.sin(phi)
@@ -185,7 +192,7 @@ def sn_cn_dn(u, k: float, *, complement: float | None = None):
     return sn, cn, dn
 
 
-def _modulus(a: float, params: Params) -> tuple[float, float]:
+def _modulus(a, params: Params):
     """Squared modulus and complement for amplitude a, in cancellation-safe form."""
     al, be = params.alpha, params.beta
     denom = 2.0 * be - al * a * a
@@ -194,8 +201,8 @@ def _modulus(a: float, params: Params) -> tuple[float, float]:
     return m2, mc2
 
 
-def _wave_scale(a: float, params: Params) -> float:
-    return math.sqrt((2.0 * params.beta - params.alpha * a * a) / (2.0 * params.kappa))
+def _wave_scale(a, params: Params):
+    return np.sqrt((2.0 * params.beta - params.alpha * a * a) / (2.0 * params.kappa))
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,11 @@ class WaveProfile:
     modulus: float
     complement: float
     scale: float
-    period: float
     params: Params
+
+    @property
+    def period(self) -> float:
+        return period_of_amplitude(self.amplitude, self.params)
 
     def __call__(self, x):
         sn, _, _ = sn_cn_dn(np.asarray(x, dtype=float) * self.scale, self.modulus, complement=self.complement)
@@ -232,56 +242,62 @@ def periodic_wave(a: float, params: Params) -> WaveProfile:
     if not 0.0 < a < params.binodal:
         raise ValueError(f"amplitude must lie in (0, {params.binodal}), got {a}")
     m2, mc2 = _modulus(a, params)
-    h = _wave_scale(a, params)
-    mc = math.sqrt(mc2)
-    p = 4.0 * ellip_k(complement=mc) / h
     return WaveProfile(
         amplitude=a,
         modulus=math.sqrt(m2),
-        complement=mc,
-        scale=h,
-        period=p,
+        complement=math.sqrt(mc2),
+        scale=float(_wave_scale(a, params)),
         params=params,
     )
 
 
-def period_of_amplitude(a: float, params: Params) -> float:
-    """Wave period p(a) = 4 K(m(a)) / h(a); increasing in a."""
-    if not 0.0 < a < params.binodal:
+def period_of_amplitude(a, params: Params):
+    """Wave period p(a) = 4 K(m(a)) / h(a), elementwise; increasing in a."""
+    a = np.asarray(a, dtype=float)
+    if not np.all((0.0 < a) & (a < params.binodal)):
         raise ValueError(f"amplitude must lie in (0, {params.binodal}), got {a}")
     _, mc2 = _modulus(a, params)
-    return 4.0 * ellip_k(complement=math.sqrt(mc2)) / _wave_scale(a, params)
+    p = 4.0 * (math.pi / (2.0 * _agm(np.sqrt(mc2)))) / _wave_scale(a, params)
+    return float(p) if p.ndim == 0 else p
 
 
-def amplitude_of_period(p: float, params: Params, rtol: float = 1e-13) -> float:
-    """Invert p(a) by bisection.
+def amplitude_of_period(p, params: Params, rtol: float = 1e-13):
+    """Invert p(a) by bisection, all elements of p at once.
 
     The bisection runs in the variable t with a = binodal (1 - exp(-t)),
     which keeps resolution uniform both at small amplitude and in the
     near-binodal tail where p depends on 1 - a/binodal logarithmically.
+    Each element keeps its own bracket and stops at its own tolerance.
     """
-    if p <= params.p_min:
+    p = np.asarray(p, dtype=float)
+    if not np.all(p > params.p_min):
         raise ValueError(f"period must exceed p_min = {params.p_min}, got {p}")
     binodal = params.binodal
+    target = p.ravel()
 
-    def period_at(t: float) -> float:
-        return period_of_amplitude(binodal * (-math.expm1(-t)), params)
+    def period_at(t):
+        return period_of_amplitude(binodal * (-np.expm1(-t)), params)
 
     # Beyond t ~ 36 the amplitude rounds to the binodal in double precision.
-    t_lo, t_hi = 1e-12, 1.0
-    while period_at(t_hi) < p:
-        t_hi = min(2.0 * t_hi, 36.0)
-        if t_hi == 36.0 and period_at(t_hi) < p:
-            raise ValueError(f"period {p} is beyond double-precision amplitude resolution")
+    t_lo, t_hi = np.full(target.shape, 1e-12), np.ones(target.shape)
+    short = period_at(t_hi) < target
+    while np.count_nonzero(short):
+        if np.any(short & (t_hi == 36.0)):
+            raise ValueError(f"period {target[short].max()} is beyond double-precision "
+                             "amplitude resolution")
+        np.copyto(t_hi, np.minimum(2.0 * t_hi, 36.0), where=short)
+        short &= period_at(t_hi) < target
+    live = np.ones(target.shape, dtype=bool)
     for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if period_at(t_mid) < p:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-        if t_hi - t_lo <= rtol * t_hi:
+        mid = 0.5 * (t_lo + t_hi)
+        below = period_at(mid) < target
+        np.copyto(t_lo, mid, where=live & below)
+        np.copyto(t_hi, mid, where=live & ~below)
+        live &= t_hi - t_lo > rtol * t_hi
+        if not np.count_nonzero(live):
             break
-    return binodal * (-math.expm1(-0.5 * (t_lo + t_hi)))
+    a = (binodal * (-np.expm1(-0.5 * (t_lo + t_hi)))).reshape(p.shape)
+    return float(a) if a.ndim == 0 else a
 
 
 def period_derivative(a: float, params: Params) -> float:

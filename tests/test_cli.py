@@ -248,6 +248,25 @@ def test_non_finite_or_non_positive_flags_exit_one(argv, flag, tmp_path, capsys)
     assert f"argument {flag}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["waves", "table"], ["evans", "table"]])
+def test_da_outside_unit_interval_exits_one(command, tmp_path, capsys):
+    # --da is an amplitude step as a fraction of the binodal; a step of 1 or
+    # more leaves no amplitude below the binodal
+    for da in ("1", "2", "0", "-0.5"):
+        assert main(command + ["--da", da, "--out", str(tmp_path)]) == 1
+        assert "argument --da: must lie in (0, 1)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_waves_table_steps_in_fractions_of_the_binodal(tmp_path):
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text("beta = 0.25\n")  # binodal 0.5
+    assert main(["waves", "table", "--da", "0.25", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--name", "w"]) == 0
+    table = TimeSeries.from_csv(tmp_path / "o" / "waves" / "w" / "table.csv")
+    assert table["amplitude"] == pytest.approx([0.125, 0.25, 0.375], rel=1e-15)
+
+
 def test_evans_table_rejects_rk_steps_it_cannot_honour(tmp_path, capsys):
     # the membership test integrates half a period at rk_steps / 2 steps
     for steps in ("100", "-5", "2047", "510"):

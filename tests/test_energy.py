@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 from scipy.optimize import linprog
 
 from bchsim.energy import (
     ClampWarning,
     EnergyPeriodTable,
+    _window_samples,
     coarseness_table,
     energy_of_period,
     energy_scale,
@@ -63,10 +65,28 @@ def test_window_energy_against_quadrature(a, params):
     x = np.linspace(-half, half, 400_001)
     phi, phi_x, _ = wave.with_derivatives(x)
     density = 0.5 * params.kappa * phi_x**2 + params.f(phi)
-    from scipy.integrate import simpson
-
     oracle = simpson(density, x=x)
     assert wave_window_energy(a, params) == pytest.approx(oracle, rel=1e-8)
+
+
+def _full_window_simpson_energy(a: float, params: Params) -> float:
+    """Window energy by scipy's Simpson rule over all of [-L, L] on the same
+    grid: the form wave_window_energy folds onto the half window [-L, 0]."""
+    n = _window_samples(a, params)
+    x = np.linspace(-params.half_length, params.half_length, n + 1)
+    density = 2.0 * params.f(periodic_wave(a, params)(x)) - params.f(a)
+    return float(simpson(density, x=x))
+
+
+@pytest.mark.parametrize("kappa,n", [(1e-3, 4096), (1e-4, 8192), (3e-5, 16384)])
+def test_half_window_energy_matches_full_window_simpson(kappa, n):
+    params = Params(kappa=kappa)
+    fractions = [1e-3, 0.2, 0.6, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-14]
+    amps = [params.binodal * f for f in fractions]
+    assert {_window_samples(a, params) for a in amps} == {n}
+    for a in amps:
+        full = _full_window_simpson_energy(a, params)
+        assert abs(wave_window_energy(a, params) / full - 1.0) <= 1e-14
 
 
 def test_window_energy_limits(params):
@@ -88,6 +108,26 @@ def test_energy_of_period_rejects_non_finite_periods(params):
     for p in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             energy_of_period(p, params)
+
+
+def test_energy_of_period_array_matches_scalar_calls(params):
+    p = np.array([[params.p_min, params.p_min * (1.0 + 1e-9), 0.35],
+                  [0.6, 1.0, 1.9]])
+    e = energy_of_period(p, params)
+    assert e.shape == p.shape
+    assert np.array_equal(e, [[energy_of_period(float(q), params) for q in row] for row in p])
+    assert e[0, 0] == params.e_max
+    assert isinstance(energy_of_period(np.array(0.6), params), float)
+    assert energy_of_period(params.p_min, params) == params.e_max
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.1, 10.0])
+def test_energy_of_period_rejects_any_bad_element(bad, params):
+    # 0.1 < p_min; 10.0 lies beyond double-precision amplitude resolution
+    with pytest.raises(ValueError):
+        energy_of_period(bad, params)
+    with pytest.raises(ValueError):
+        energy_of_period(np.array([0.3, bad, 0.6]), params)
 
 
 def test_coarseness_table_is_shared_across_flow_parameters(params):

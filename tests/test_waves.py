@@ -124,6 +124,40 @@ def test_amplitude_of_period_rejects_below_p_min(params):
         amplitude_of_period(0.9 * params.p_min, params)
 
 
+def test_amplitude_of_period_array_matches_scalar_calls(params):
+    # elements near p_min need many more halvings than the rest, so each
+    # element must stop at its own tolerance
+    p = params.p_min * np.array([1.0 + 1e-9, 1.001, 1.5, 3.0, 6.0, 12.0, 16.0])
+    a = amplitude_of_period(p, params)
+    assert np.array_equal(a, [amplitude_of_period(float(q), params) for q in p])
+    assert np.array_equal(period_of_amplitude(a, params),
+                          [period_of_amplitude(float(x), params) for x in a])
+    assert isinstance(amplitude_of_period(np.array(p[2]), params), float)
+    assert isinstance(period_of_amplitude(np.float64(0.5), params), float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.9 * P_MIN, 10.0])
+def test_amplitude_of_period_rejects_any_bad_element(bad, params):
+    # 10.0 lies beyond the longest period resolvable in double precision
+    with pytest.raises(ValueError):
+        amplitude_of_period(bad, params)
+    with pytest.raises(ValueError):
+        amplitude_of_period(np.array([0.3, bad, 0.6]), params)
+
+
+def test_sn_is_odd_bitwise():
+    # wave_window_energy folds the window onto [-L, 0], which needs the
+    # profile a sn(h x) to be exactly odd in x
+    u = np.linspace(-60.0, 60.0, 4001)
+    for k, complement in [(0.0, None), (1e-13, None), (0.3, None), (0.9, None),
+                          (math.sqrt(1.0 - 1e-14), 1e-7)]:
+        sn, cn, dn = sn_cn_dn(u, k, complement=complement)
+        sn_m, cn_m, dn_m = sn_cn_dn(-u, k, complement=complement)
+        assert np.array_equal(sn_m, -sn)
+        assert np.array_equal(cn_m, cn)
+        assert np.array_equal(dn_m, dn)
+
+
 @pytest.mark.parametrize("a", [0.3, 0.7, 0.95])
 def test_period_derivative_matches_finite_difference(a, params):
     h = 1e-6

@@ -253,7 +253,8 @@ def period_from_energy(e: float, table: EnergyPeriodTable, rtol: float = 1e-10) 
 
     Energies outside (e_min, e_max] are clamped to the table range with a
     ClampWarning.  The first table cell crossing e is refined by bisection
-    on the continuous E(p).
+    on the amplitude, which E and p both follow without inverting p(a),
+    until the periods of the bracket ends agree to rtol.
     """
     params = table.params
     if e >= table.e_max:
@@ -265,16 +266,17 @@ def period_from_energy(e: float, table: EnergyPeriodTable, rtol: float = 1e-10) 
         return table.p_cap
 
     idx = int(np.argmax(table.energies <= e))
-    p_lo = table.periods[idx - 1]
-    p_hi = table.periods[idx]
-    for _ in range(80):
-        p_mid = 0.5 * (p_lo + p_hi)
-        if energy_of_period(p_mid, params) <= e:
-            p_hi = p_mid
+    a_lo, a_hi = table.amplitudes[idx - 1], table.amplitudes[idx]
+    p_lo, p_hi = table.periods[idx - 1], table.periods[idx]
+    while p_hi - p_lo > rtol * p_hi:
+        a_mid = 0.5 * (a_lo + a_hi)
+        if not a_lo < a_mid < a_hi:
+            break  # near the binodal the amplitude resolves no finer
+        p_mid = period_of_amplitude(a_mid, params)
+        if wave_window_energy(a_mid, params) <= e:
+            a_hi, p_hi = a_mid, p_mid
         else:
-            p_lo = p_mid
-        if p_hi - p_lo <= rtol * p_hi:
-            break
+            a_lo, p_lo = a_mid, p_mid
     return float(p_hi)
 
 

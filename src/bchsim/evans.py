@@ -15,16 +15,20 @@ A is traceless, so the monodromy M(lambda) over one period has unit
 determinant.  lambda belongs to the spectrum exactly when the Evans
 determinant D(lambda, xi) = det(M - e^{i xi p} I) vanishes for some real
 Bloch frequency xi, i.e. when M carries a Floquet multiplier on the unit
-circle.  The leading (largest real) spectrum point is located by bisecting
-that membership test downward from a bracket hint, which amplitude
-continuation supplies when tabulating.
+circle.  The leading (largest real) spectrum point is bracketed by that
+membership test below a hint, which amplitude continuation supplies when
+tabulating.  The bracket is closed by a secant on a discriminant that
+changes sign where two unit-circle multipliers collide and leave the
+circle, with a midpoint step wherever that secant cannot be trusted (see
+leading_eigenvalue).
 
 b, b' and b'' come from the closed-form wave, so no numerical
 differentiation enters the coefficients.  A(x; lambda) = A0(x) + lambda F
-with F = -(1/kappa) e3 e0^T, so each classical fixed-step RK4 transfer
-matrix is exactly a quartic in lambda.  Its five coefficient matrices are
-built once per wave, for all steps in one vectorized batch; each lambda then
-costs four Horner updates of that stack and a pairwise ordered product.
+with F = -(1/kappa) e3 e0^T.  F A0^j F vanishes for j <= 2, so each
+classical fixed-step RK4 transfer matrix, a product of at most four A, is
+exactly linear in lambda.  Its two coefficient matrices are built once per
+wave, for all steps in one vectorized batch; each lambda then costs one
+multiply-add of that stack and a pairwise ordered product.
 """
 
 from __future__ import annotations
@@ -78,27 +82,31 @@ def _coefficients(wave: WaveProfile, x: np.ndarray, params: Params):
 
 
 def _step_polynomial(wave: WaveProfile, params: Params, rk_steps: int, x_end: float) -> np.ndarray:
-    """RK4 one-step transfer matrices over [0, x_end] as a quartic in lambda.
+    """RK4 one-step transfer matrices over [0, x_end], which are linear in lambda.
 
-    Returns C of shape (5, rk_steps, 4, 4): step i's propagator at lambda is
-    sum_j lambda^j C[j, i].  A(x; lambda) = A0(x) + lambda F, and every RK4
-    stage multiplies by A once more, so stage k_s has degree s in lambda.  A
-    stage is a stack of coefficient matrices; A0 M shifts the rows of M up and
-    puts the coefficient row r(x) M in row 3, and F M puts -M[0] / kappa there.
+    Returns C of shape (2, rk_steps, 4, 4): step i's propagator at lambda is
+    C[0, i] + lambda C[1, i].  A(x; lambda) = A0(x) + lambda F, and every RK4
+    stage multiplies by A once more.  A stage is a stack of coefficient
+    matrices; A0 M shifts the rows of M up and puts the coefficient row r(x) M
+    in row 3, and F M puts -M[0] / kappa there.  A lambda^2 term would need
+    F A0^j F with j <= 2, which is zero because the (0, 3) entry of a product
+    of at most two A0 is; so row 0 of every stage's linear coefficient is zero,
+    and F adds nothing to it.  The stages are held as (degree, 4, 4, rk_steps),
+    so every row operation is one pass over long vectors of all steps; one
+    transpose at the end gives the layout _transfer multiplies in.
     """
     h = x_end / rk_steps
     x = 0.5 * h * np.arange(2 * rk_steps + 1)
     b, bp, bpp = _coefficients(wave, x, params)
     inv_kappa = 1.0 / params.kappa
-    rows = np.stack([bpp * inv_kappa, 2.0 * bp * inv_kappa, b * inv_kappa], axis=-1)
-    eye = np.eye(4)
+    rows = np.stack([bpp * inv_kappa, 2.0 * bp * inv_kappa, b * inv_kappa])
+    eye = np.eye(4)[:, :, None]
 
     def times_a(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((m.shape[0] + 1,) + m.shape[1:])
-        out[:-1, :, :3] = m[:, :, 1:]
-        out[:-1, :, 3] = (r[:, 0, None] * m[:, :, 0] + r[:, 1, None] * m[:, :, 1]
-                          + r[:, 2, None] * m[:, :, 2])
-        out[1:, :, 3] -= inv_kappa * m[:, :, 0]
+        out = np.zeros((2,) + m.shape[1:])
+        out[: len(m), :3] = m[:, 1:]
+        out[: len(m), 3] = r[0] * m[:, 0] + r[1] * m[:, 1] + r[2] * m[:, 2]
+        out[1, 3] -= inv_kappa * m[0, 0]
         return out
 
     def eye_plus(m: np.ndarray, c: float) -> np.ndarray:
@@ -109,27 +117,21 @@ def _step_polynomial(wave: WaveProfile, params: Params, rk_steps: int, x_end: fl
 
     # each stage is summed into poly as soon as it is made and then scaled
     # in place into the next stage's argument, so little is alive at a time
-    r1, r2, r4 = rows[0:-1:2], rows[1::2], rows[2::2]
-    poly = np.zeros((5, rk_steps, 4, 4))
-    k = times_a(r1, np.broadcast_to(eye, (1, rk_steps, 4, 4)))
-    poly[:2] = k
+    r1, r2, r4 = rows[:, 0:-1:2], rows[:, 1::2], rows[:, 2::2]
+    k = times_a(r1, np.broadcast_to(eye, (1, 4, 4, rk_steps)))
+    poly = k.copy()
     k = times_a(r2, eye_plus(k, 0.5 * h))
-    poly[:3] += 2.0 * k
+    poly += 2.0 * k
     k = times_a(r2, eye_plus(k, 0.5 * h))
-    poly[:4] += 2.0 * k
+    poly += 2.0 * k
     k = times_a(r4, eye_plus(k, h))
     poly += k
-    return eye_plus(poly, h / 6.0)
+    return np.ascontiguousarray(eye_plus(poly, h / 6.0).transpose(0, 3, 1, 2))
 
 
 def _transfer(poly: np.ndarray, lam: float) -> np.ndarray:
-    """Ordered product of the step propagators sum_j lam^j poly[j], by Horner."""
-    mats = poly[-1] * lam
-    for coef in poly[-2:0:-1]:
-        mats += coef
-        mats *= lam
-    mats += poly[0]
-    return _ordered_product(mats)
+    """Ordered product of the step propagators poly[0] + lam poly[1]."""
+    return _ordered_product(poly[0] + lam * poly[1])
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -184,7 +186,7 @@ def evans(
     return complex(np.linalg.det(mono.matrix - z * np.eye(4)))
 
 
-def _reciprocal_pair_w(matrix: np.ndarray) -> tuple[float, float] | None:
+def _reciprocal_pair(matrix: np.ndarray) -> tuple[tuple[float, float] | None, float]:
     """Roots of w^2 - c1 w + (c2 - 2) where multipliers pair as {z, 1/z}.
 
     The system is Hamiltonian, so the characteristic polynomial of any
@@ -196,7 +198,10 @@ def _reciprocal_pair_w(matrix: np.ndarray) -> tuple[float, float] | None:
     multiplier dwarfs them: the error is about eps times that multiplier,
     while a direct eigensolve loses them entirely.
 
-    Returns None when both roots are complex (all multipliers off circle).
+    Returns the roots, or None when both are complex (all multipliers off
+    the circle), together with the discriminant disc = c1^2 - 4 (c2 - 2).
+    disc falls through zero where two multipliers on the circle collide and
+    leave it.
     """
     c1 = float(np.trace(matrix).real)
     c2 = 0.0
@@ -205,16 +210,21 @@ def _reciprocal_pair_w(matrix: np.ndarray) -> tuple[float, float] | None:
             c2 += float((matrix[i, i] * matrix[j, j] - matrix[i, j] * matrix[j, i]).real)
     disc = c1 * c1 - 4.0 * (c2 - 2.0)
     if disc < 0.0:
-        return None
+        return None, disc
     root = math.sqrt(disc)
     w_big = 0.5 * (c1 + math.copysign(root, c1))
     if w_big == 0.0:
         w_small = math.sqrt(max(2.0 - c2, 0.0))
-        return -w_small, w_small
-    return w_big, (c2 - 2.0) / w_big
+        return (-w_small, w_small), disc
+    return (w_big, (c2 - 2.0) / w_big), disc
 
 
-def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float]:
+def _reciprocal_pair_w(matrix: np.ndarray) -> tuple[float, float] | None:
+    """The roots of _reciprocal_pair without the discriminant."""
+    return _reciprocal_pair(matrix)[0]
+
+
+def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float, float]:
     """Unit-circle membership of lam through the half-period map.
 
     b = F''(phi) depends on phi only through phi^2, and phi(x + p/2) = -phi(x),
@@ -223,16 +233,18 @@ def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float]:
     ones, so membership transfers verbatim while the Bloch phase doubles; its
     norm is the square root of the full one, which roughly doubles the period
     range over which unit-circle multipliers stay resolvable.
+
+    Returns (inside, Bloch phase over a full period, disc of _reciprocal_pair).
     """
-    ws = _reciprocal_pair_w(_transfer(half_poly, lam))
+    ws, disc = _reciprocal_pair(_transfer(half_poly, lam))
     if ws is None:
-        return False, 0.0
+        return False, 0.0, disc
     on_circle = [w for w in ws if abs(w) <= 2.0 + _UNIT_CIRCLE_TOL]
     if not on_circle:
-        return False, 0.0
+        return False, 0.0, disc
     w = min(on_circle, key=abs) if len(on_circle) == 2 else on_circle[0]
     half_phase = math.acos(min(max(w / 2.0, -1.0), 1.0))
-    return True, 2.0 * half_phase
+    return True, 2.0 * half_phase, disc
 
 
 @dataclass(frozen=True)
@@ -255,20 +267,39 @@ def leading_eigenvalue(
     Membership of lam in the spectrum is tested through the Floquet
     multipliers of M(lam): lam is inside iff a multiplier sits on the unit
     circle, which is the zero set of min_xi |D(lam, xi)| in exact
-    arithmetic but much better conditioned to evaluate.  Bisection runs
-    between an inside point (found by halving downward from the hint) and
-    an outside point just above the hint.  The half-period transfer
-    polynomial is built once, and every membership test evaluates it.
+    arithmetic but much better conditioned to evaluate.  The search keeps a
+    bracket of an inside point (found by halving downward from the hint)
+    and an outside point just above the hint; only membership verdicts move
+    it, and it ends when the bracket is narrower than rtol, returning its
+    midpoint.  The spectrum ends where two multipliers collide on the unit
+    circle and leave it, so the discriminant disc of _reciprocal_pair
+    changes sign there, nearly linearly in lam.  Each probe is therefore the
+    secant root of disc through the last two probes, clamped to the bracket
+    and placed past that root toward the farther bracket end: by a quarter
+    of the root's last move while it still moves by more than ten target
+    widths, then by a quarter of the target width, so the bracket closes
+    from both sides.  The midpoint is probed instead when disc does not
+    change sign across the bracket (an edge where |w| passes 2, or rounding
+    noise) and when the bracket has fallen behind bisection's pace, which
+    bounds the search by two probes more than bisection.  The half-period
+    transfer polynomial is built once, and every membership test evaluates
+    it.
     """
     hint = params.lambda_top if bracket_hint is None else float(bracket_hint)
     if hint <= 0:
         raise ValueError("bracket hint must be positive")
     wave = periodic_wave(a, params)
     half = _step_polynomial(wave, params, half_map_steps(rk_steps), 0.5 * wave.period)
+    probes = []  # (lam, disc) of every membership test, in order
+
+    def probe(lam: float) -> tuple[bool, float, float]:
+        inside, phase, disc = _in_spectrum(half, lam)
+        probes.append((lam, disc))
+        return inside, phase, disc
 
     hi = hint * 1.05
     for _ in range(60):
-        inside, _ = _in_spectrum(half, hi)
+        inside, _, d_hi = probe(hi)
         if not inside:
             break
         hi *= 1.3
@@ -276,23 +307,38 @@ def leading_eigenvalue(
         raise RuntimeError(f"no upper spectral edge found above {hint} for a={a}")
 
     lo = min(hint, hi / 1.05)
-    phase = 0.0
     for _ in range(60):
-        inside, phase = _in_spectrum(half, lo)
+        inside, phase, d_lo = probe(lo)
         if inside:
             break
         lo *= 0.5
     else:
         raise RuntimeError(f"no spectrum found below {hint} for a={a} after 60 halvings")
 
-    period = wave.period
+    # The secant may probe only while the bracket is no wider than bisection's
+    # was one probe earlier.  A probe that gains nothing then leaves it at
+    # most two probes behind bisection, and a midpoint keeps that standing,
+    # so the search never takes more than two probes beyond bisection.
+    budget = 2.0 * (hi - lo)
+    root = None
     while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        inside, ph = _in_spectrum(half, mid)
-        if inside:
-            lo, phase = mid, ph
+        width, target = hi - lo, rtol * hi
+        (x0, d0), (x1, d1) = probes[-2:]
+        if d_lo > 0.0 > d_hi and d0 != d1 and width <= budget:
+            last, root = root, min(max(x1 - d1 * (x1 - x0) / (d1 - d0), lo), hi)
+            move = 0.0 if last is None else abs(root - last)
+            past = 0.25 * (move if move > 10.0 * target else target)
+            lam = root + (past if hi - root > root - lo else -past)
+            lam = min(max(lam, lo + 0.25 * target), hi - 0.25 * target)
         else:
-            hi = mid
+            lam = 0.5 * (lo + hi)
+        inside, ph, disc = probe(lam)
+        if inside:
+            lo, phase, d_lo = lam, ph, disc
+        else:
+            hi, d_hi = lam, disc
+        budget *= 0.5
+    period = wave.period
     lam = 0.5 * (lo + hi)
     xi = (phase / period) % (2.0 * math.pi / period)
     if full:
@@ -357,6 +403,8 @@ def _default_p_max(params: Params) -> float:
 
 def default_amplitudes(params: Params, da: float = 0.01, p_max: float | None = None) -> np.ndarray:
     """Uniform amplitude grid plus a log-graded tail reaching period p_max."""
+    if not 0.0 < da < 1.0:
+        raise ValueError(f"da must lie in (0, 1), got {da}")
     if p_max is None:
         p_max = _default_p_max(params)
     binodal = params.binodal
@@ -387,7 +435,7 @@ def build_eig_table(
     A sequential coarse pass (every fourth amplitude, and the last) chains
     bracket hints, each 1.1 times the previous coarse value.  Every other
     amplitude takes 1.1 times the value of the nearest coarse row to its
-    left as its hint, so those bisections are independent and can run in
+    left as its hint, so those searches are independent and can run in
     parallel.
     """
     if amplitudes is None:

@@ -149,10 +149,8 @@ def ellip_k(k: float | None = None, *, complement: float | None = None) -> float
 def sn_cn_dn(u, k: float, *, complement: float | None = None):
     """Jacobi sn, cn, dn at argument u (scalar or array) and modulus k.
 
-    Descending Landen recursion: run the AGM on (1, k'), set
-    phi_N = 2^N a_N u, then fold back through
-    phi_{n-1} = (phi_n + asin(c_n/a_n sin phi_n))/2 and read off
-    sn = sin phi_0, cn = cos phi_0, dn = cos phi_0 / cos(phi_1 - phi_0).
+    sn = sin phi_0, cn = cos phi_0 and dn = cos phi_0 / cos(phi_1 - phi_0)
+    with phi_0, phi_1 from the descending Landen recursion (_landen_fold).
     """
     u = np.asarray(u, dtype=float)
     if complement is None:
@@ -167,7 +165,27 @@ def sn_cn_dn(u, k: float, *, complement: float | None = None):
         sn = np.sin(u)
         cn = np.cos(u)
         return sn, cn, np.ones_like(u)
+    phi, phi_prev = _landen_fold(u, k, complement)
+    cn = np.cos(phi)
+    return np.sin(phi), cn, cn / np.cos(phi_prev - phi)
 
+
+def _sn(u: np.ndarray, k: float, complement: float) -> np.ndarray:
+    """sn alone, bit-identical to the sn of sn_cn_dn, for valid k and complement."""
+    if complement < 1e-12:
+        return np.tanh(u)
+    if k < 1e-12:
+        return np.sin(u)
+    return np.sin(_landen_fold(u, k, complement)[0])
+
+
+def _landen_fold(u: np.ndarray, k: float, complement: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi amplitude phi_0 = am(u, k) and the Landen angle phi_1 above it.
+
+    Descending Landen recursion: run the AGM on (1, k'), set
+    phi_N = 2^N a_N u, then fold back through
+    phi_{n-1} = (phi_n + asin(c_n/a_n sin phi_n))/2.
+    """
     a, b = 1.0, complement
     a_list, c_list = [1.0], [k]
     while len(a_list) < 64:
@@ -186,10 +204,7 @@ def sn_cn_dn(u, k: float, *, complement: float | None = None):
         s = c_list[i] / a_list[i] * np.sin(phi)
         phi_prev = phi
         phi = 0.5 * (phi + np.arcsin(s))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    dn = cn / np.cos(phi_prev - phi)
-    return sn, cn, dn
+    return phi, phi_prev
 
 
 def _modulus(a, params: Params):
@@ -220,8 +235,7 @@ class WaveProfile:
         return period_of_amplitude(self.amplitude, self.params)
 
     def __call__(self, x):
-        sn, _, _ = sn_cn_dn(np.asarray(x, dtype=float) * self.scale, self.modulus, complement=self.complement)
-        return self.amplitude * sn
+        return self.amplitude * _sn(np.asarray(x, dtype=float) * self.scale, self.modulus, self.complement)
 
     def with_derivatives(self, x):
         """Return (phi, phi_x, phi_xx) sampled at x, all in closed form.

@@ -200,6 +200,34 @@ def test_pseudoinverse_inverts_interior_energies(params, energy_table):
         assert energy_of_period(p, params) == pytest.approx(e, rel=1e-8)
 
 
+def _period_from_energy_by_period_bisection(e, table, rtol=1e-10):
+    """The bisection on p through energy_of_period that the amplitude bisection replaced."""
+    idx = int(np.argmax(table.energies <= e))
+    p_lo, p_hi = table.periods[idx - 1], table.periods[idx]
+    for _ in range(80):
+        p_mid = 0.5 * (p_lo + p_hi)
+        if energy_of_period(p_mid, table.params) <= e:
+            p_hi = p_mid
+        else:
+            p_lo = p_mid
+        if p_hi - p_lo <= rtol * p_hi:
+            break
+    return float(p_hi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 60, 120, 199])
+def test_pseudoinverse_matches_period_bisection(k, params, energy_table):
+    # energies from criterion 10's grid.  Near the binodal one ulp of the
+    # amplitude moves p by up to 1.7e-8 relative and E is a staircase on
+    # those amplitudes, so there the two bisections may end one step apart
+    e = float(np.linspace(energy_table.e_floor, params.e_max, 201)[k])
+    mine = period_from_energy(e, energy_table)
+    old = _period_from_energy_by_period_bisection(e, energy_table)
+    a = amplitude_of_period(mine, params)
+    ulp_step = period_of_amplitude(a, params) - period_of_amplitude(np.nextafter(a, 0.0), params)
+    assert abs(mine - old) <= 2e-10 * old + ulp_step
+
+
 def test_plateau_bound_positive_denominator(params):
     # the bound is finite and positive across the admissible amplitudes
     for a in (0.2, 0.5, 0.9, 0.99):

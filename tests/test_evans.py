@@ -8,6 +8,7 @@ from bchsim import evans as evans_module
 from bchsim.evans import (
     EigTable,
     build_eig_table,
+    default_amplitudes,
     evans,
     floquet_multipliers,
     leading_eigenvalue,
@@ -262,3 +263,103 @@ def test_leading_eigenvalue_matches_direct_bisection(a, params):
 def test_leading_eigenvalue_rejects_steps_it_cannot_honour(rk_steps, params):
     with pytest.raises(ValueError, match="rk_steps"):
         leading_eigenvalue(0.5, params, rk_steps=rk_steps)
+
+
+def _steps_first_step_polynomial(wave, params, rk_steps, x_end):
+    """The (steps, 4, 4) assembly of all five quartic coefficients that the
+    steps-last linear build replaced, kept as a reference."""
+    h = x_end / rk_steps
+    x = 0.5 * h * np.arange(2 * rk_steps + 1)
+    b, bp, bpp = evans_module._coefficients(wave, x, params)
+    inv_kappa = 1.0 / params.kappa
+    rows = np.stack([bpp * inv_kappa, 2.0 * bp * inv_kappa, b * inv_kappa], axis=-1)
+    eye = np.eye(4)
+
+    def times_a(r, m):
+        out = np.zeros((m.shape[0] + 1,) + m.shape[1:])
+        out[:-1, :, :3] = m[:, :, 1:]
+        out[:-1, :, 3] = (r[:, 0, None] * m[:, :, 0] + r[:, 1, None] * m[:, :, 1]
+                          + r[:, 2, None] * m[:, :, 2])
+        out[1:, :, 3] -= inv_kappa * m[:, :, 0]
+        return out
+
+    def eye_plus(m, c):
+        m *= c
+        m[0] += eye
+        return m
+
+    r1, r2, r4 = rows[0:-1:2], rows[1::2], rows[2::2]
+    poly = np.zeros((5, rk_steps, 4, 4))
+    k = times_a(r1, np.broadcast_to(eye, (1, rk_steps, 4, 4)))
+    poly[:2] = k
+    k = times_a(r2, eye_plus(k, 0.5 * h))
+    poly[:3] += 2.0 * k
+    k = times_a(r2, eye_plus(k, 0.5 * h))
+    poly[:4] += 2.0 * k
+    k = times_a(r4, eye_plus(k, h))
+    poly += k
+    return eye_plus(poly, h / 6.0)
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.99, 1.0 - 1e-10])
+def test_step_polynomial_is_bitwise_the_linear_part_of_the_quartic(a, params):
+    # the quartic's coefficients of lambda^2 to lambda^4 are exact zeros, so
+    # the steps-last linear build must equal its first two coefficients
+    wave = periodic_wave(a, params)
+    mine = evans_module._step_polynomial(wave, params, 1024, 0.5 * wave.period)
+    quartic = _steps_first_step_polynomial(wave, params, 1024, 0.5 * wave.period)
+    assert not np.any(quartic[2:])
+    assert np.array_equal(mine, quartic[:2])
+
+
+def test_eig_table_makes_few_membership_tests(params, monkeypatch):
+    # bisection made 24 membership tests per row; the secant on the
+    # collision discriminant needs well under half of that
+    calls = []
+    in_spectrum = evans_module._in_spectrum
+
+    def counted(half_poly, lam):
+        calls.append(lam)
+        return in_spectrum(half_poly, lam)
+
+    monkeypatch.setattr(evans_module, "_in_spectrum", counted)
+    table = build_eig_table(params)
+    assert len(calls) <= 10 * table.amplitudes.size
+
+
+def _planted_search(monkeypatch, params, edge, disc_of):
+    """leading_eigenvalue against a planted spectrum lam <= edge reporting disc_of(lam)."""
+    probes = []
+
+    def planted(half_poly, lam):
+        probes.append((lam, lam <= edge))
+        return lam <= edge, 0.0, disc_of(lam)
+
+    monkeypatch.setattr(evans_module, "_in_spectrum", planted)
+    return leading_eigenvalue(0.5, params, rtol=1e-6), probes
+
+
+@pytest.mark.parametrize("edge", [0.37, 41.0, 180.0, 249.0])
+@pytest.mark.parametrize("kind", ["wrong_sign", "noise", "misplaced_root"])
+def test_search_safeguard_bounds_a_misleading_discriminant(kind, edge, params, monkeypatch):
+    rng = np.random.default_rng(7)
+    disc_of = {
+        "wrong_sign": lambda lam: lam / edge - 1.0,
+        "noise": lambda lam: float(rng.standard_normal()),
+        "misplaced_root": lambda lam: 1.0 - lam / (0.8 * edge),
+    }[kind]
+    # disc = 0 never changes sign across the bracket, so every probe is a midpoint
+    _, bisection = _planted_search(monkeypatch, params, edge, lambda lam: 0.0)
+    value, probes = _planted_search(monkeypatch, params, edge, disc_of)
+    lo = max(lam for lam, inside in probes if inside)
+    hi = min(lam for lam, inside in probes if not inside)
+    assert lo <= edge < hi
+    assert hi - lo <= 1e-6 * hi
+    assert value == 0.5 * (lo + hi)
+    assert len(probes) <= len(bisection) + 2
+
+
+@pytest.mark.parametrize("da", [1.0, 1.5, -0.1, 0.0])
+def test_default_amplitudes_rejects_da_outside_unit_interval(da, params):
+    with pytest.raises(ValueError, match="da"):
+        default_amplitudes(params, da=da)

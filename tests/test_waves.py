@@ -206,6 +206,15 @@ def test_wave_derivatives_consistent(params):
     assert np.allclose(params.kappa * phi_xx, params.df(phi), rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("a", [1e-12, 0.3, 0.9, 1.0 - 1e-14])
+def test_wave_is_bitwise_the_profile_of_with_derivatives(a, params):
+    # wave energies take the profile alone, without cn and dn; it must be
+    # the same phi that the Evans coefficients take from with_derivatives
+    wave = periodic_wave(a, params)
+    x = np.linspace(-1.0, 1.0, 2049)
+    assert np.array_equal(wave(x), wave.with_derivatives(x)[0])
+
+
 def test_kink_energy_values(params):
     k = kink(params)
     assert k.e_min_inf == pytest.approx(0.0298142396999972, rel=1e-12)

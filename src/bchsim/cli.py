@@ -258,6 +258,10 @@ def _cmd_predict(args) -> int:
         raise UsageError("--half only applies to --method eig")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
+    if args.t0 < 0:
+        raise UsageError(f"--t0 must be nonnegative, got {args.t0:g}")
+    if args.p0 is not None and args.p0 < params.p_min:
+        raise UsageError(f"--p0 must be at least p_min = {params.p_min:.6g}, got {args.p0:g}")
     if args.t_max <= args.t0:
         raise UsageError("--t-max must exceed --t0")
     variant = "langer" if args.method == "langer" else (

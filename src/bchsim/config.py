@@ -8,6 +8,7 @@ writes the resolved values, so a rerun from the echo reproduces the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -62,12 +63,24 @@ class SolverConfig:
             )
         if self.coupling == "uncoupled" and self.init_v != "none":
             raise ValueError("uncoupled runs take init_v = none")
+        for name in sorted(_FLOAT_KEYS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        self.params  # building Params checks alpha, beta, kappa, nu, K and L
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.fourier_cutoff < 1:
+            raise ValueError(f"fourier_cutoff must be at least 1, got {self.fourier_cutoff}")
+        if self.init_v == "fourier" and self.fourier_cutoff >= self.n_eff // 4:
+            raise ValueError(f"fourier_cutoff {self.fourier_cutoff} must stay below "
+                             f"n/4 = {self.n_eff // 4}")
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
 
     @property

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, derivative, l2_norm
-from .waves import Params, amplitude_of_period, kink, period_of_amplitude, periodic_wave, spinodal
+from .waves import Params, amplitude_of_period, period_of_amplitude, periodic_wave
 
 __all__ = [
     "free_energy",
@@ -47,7 +47,7 @@ def free_energy(phi: Field, params: Params) -> float:
     """E(phi) = int F(phi) + (kappa/2) phi_x^2 over [-L, L)."""
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("field contains non-finite values")
-    grad = l2_norm(derivative(phi, 1))
+    grad = l2_norm(derivative(phi))
     bulk = phi.grid.dx * float(np.sum(params.f(phi.values)))
     return bulk + 0.5 * params.kappa * grad**2
 
@@ -91,9 +91,10 @@ def energy_of_period(p, params: Params):
     """E(p), the window energy of the period-p wave, elementwise."""
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
-        raise ValueError(f"period must be finite, got {p}")
+        raise ValueError(f"period must be finite, got {p[~np.isfinite(p)][0]}")
     if np.any(p < params.p_min):
-        raise ValueError(f"period must be at least p_min = {params.p_min}, got {p}")
+        raise ValueError(f"period must be at least p_min = {params.p_min}, "
+                         f"got {p[p < params.p_min][0]}")
     e = np.full(p.shape, params.e_max)
     longer = p > params.p_min
     e[longer] = [wave_window_energy(a, params) for a in amplitude_of_period(p[longer], params)]
@@ -101,11 +102,10 @@ def energy_of_period(p, params: Params):
 
 
 def energy_scale(params: Params) -> EnergyScale:
-    sp = spinodal(params)
     return EnergyScale(
         e_max=params.e_max,
-        e_min=kink(params).e_min,
-        e_spinodal=wave_window_energy(sp.a_s, params),
+        e_min=params.e_min,
+        e_spinodal=wave_window_energy(amplitude_of_period(params.p_s, params), params),
     )
 
 
@@ -156,7 +156,7 @@ class EnergyPeriodTable:
         """
         binodal = params.binodal
         e_max = params.e_max
-        e_min = kink(params).e_min
+        e_min = params.e_min
         e_cap = e_min + (e_max - e_min) * _CAP_FRACTION
 
         def u_of(a: float) -> float:

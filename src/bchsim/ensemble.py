@@ -191,11 +191,12 @@ def uncoupled_twin(config: SolverConfig, t_final: float | None = None,
     """Uncoupled variant of a coupled configuration with the same seed.
 
     The random field draw happens before any velocity draw, so the twin
-    starts from the identical composition profile.
+    starts from the identical composition profile.  n is pinned to the
+    coupled run's, which an unset n would otherwise resolve differently.
     """
     if not config.coupled:
         raise ValueError("config is already uncoupled")
-    kw: dict = {"coupling": "uncoupled", "init_v": "none"}
+    kw: dict = {"coupling": "uncoupled", "init_v": "none", "n": config.n_eff}
     if t_final is not None:
         kw["t_final"] = t_final
     if dt is not None:
@@ -276,7 +277,7 @@ def compare_coupled(coupled_cfg: SolverConfig,
         raise ValueError("first configuration must be coupled")
     if uncoupled_cfg.coupled:
         raise ValueError("second configuration must be uncoupled")
-    for name in ("seed", "n", "L", "alpha", "beta", "kappa", "init_phi"):
+    for name in ("seed", "n_eff", "L", "alpha", "beta", "kappa", "init_phi"):
         a, b = getattr(coupled_cfg, name), getattr(uncoupled_cfg, name)
         if a != b:
             raise ValueError(f"configurations disagree on {name}: {a!r} vs {b!r}")

@@ -12,15 +12,14 @@ written as the first-order system y' = A(x; lambda) y with
          [(b'' - lambda)/kappa, 2 b'/kappa, b/kappa, 0]].
 
 A is traceless, so the monodromy M(lambda) over one period has unit
-determinant.  lambda belongs to the spectrum exactly when the Evans
-determinant D(lambda, xi) = det(M - e^{i xi p} I) vanishes for some real
-Bloch frequency xi, i.e. when M carries a Floquet multiplier on the unit
-circle.  The leading (largest real) spectrum point is bracketed by that
-membership test below a hint, which amplitude continuation supplies when
-tabulating.  The bracket is closed by a secant on a discriminant that
-changes sign where two unit-circle multipliers collide and leave the
-circle, with a midpoint step wherever that secant cannot be trusted (see
-leading_eigenvalue).
+determinant.  lambda belongs to the spectrum exactly when M carries a
+Floquet multiplier on the unit circle, i.e. when the Evans determinant
+det(M - z I) vanishes for some |z| = 1.  The leading (largest real)
+spectrum point is bracketed by that membership test below a hint, which
+amplitude continuation supplies when tabulating.  The bracket is closed by
+a secant on a discriminant that changes sign where two unit-circle
+multipliers collide and leave the circle, with a midpoint step wherever
+that secant cannot be trusted (see leading_eigenvalue).
 
 b, b' and b'' come from the closed-form wave, so no numerical
 differentiation enters the coefficients.  A(x; lambda) = A0(x) + lambda F
@@ -47,8 +46,6 @@ __all__ = [
     "monodromy",
     "half_map_steps",
     "evans",
-    "floquet_multipliers",
-    "LeadingEigenvalue",
     "leading_eigenvalue",
     "EigTable",
     "default_amplitudes",
@@ -65,8 +62,6 @@ class Monodromy:
 
     matrix: np.ndarray
     period: float
-    lam: float
-    rk_steps: int
 
     @property
     def det(self) -> complex:
@@ -152,7 +147,7 @@ def monodromy(lam: float, a: float, params: Params, rk_steps: int = 2048) -> Mon
         raise ValueError(f"rk_steps must be at least 256, got {rk_steps}")
     wave = periodic_wave(a, params)
     mat = _transfer(_step_polynomial(wave, params, rk_steps, wave.period), lam)
-    return Monodromy(matrix=mat.astype(complex), period=wave.period, lam=lam, rk_steps=rk_steps)
+    return Monodromy(matrix=mat.astype(complex), period=wave.period)
 
 
 def half_map_steps(rk_steps: int) -> int:
@@ -165,10 +160,6 @@ def half_map_steps(rk_steps: int) -> int:
     if rk_steps < 512 or rk_steps % 2:
         raise ValueError(f"rk_steps must be an even number of at least 512, got {rk_steps}")
     return rk_steps // 2
-
-
-def floquet_multipliers(mono: Monodromy) -> np.ndarray:
-    return np.linalg.eigvals(mono.matrix)
 
 
 def evans(
@@ -219,39 +210,22 @@ def _reciprocal_pair(matrix: np.ndarray) -> tuple[tuple[float, float] | None, fl
     return (w_big, (c2 - 2.0) / w_big), disc
 
 
-def _reciprocal_pair_w(matrix: np.ndarray) -> tuple[float, float] | None:
-    """The roots of _reciprocal_pair without the discriminant."""
-    return _reciprocal_pair(matrix)[0]
-
-
-def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float, float]:
+def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float]:
     """Unit-circle membership of lam through the half-period map.
 
     b = F''(phi) depends on phi only through phi^2, and phi(x + p/2) = -phi(x),
     so b, b', b'' all have period p/2 and the full monodromy is the square of
     the half map.  The half map's multipliers are square roots of the full
-    ones, so membership transfers verbatim while the Bloch phase doubles; its
-    norm is the square root of the full one, which roughly doubles the period
-    range over which unit-circle multipliers stay resolvable.
+    ones, so membership transfers verbatim; its norm is the square root of
+    the full one, which roughly doubles the period range over which
+    unit-circle multipliers stay resolvable.
 
-    Returns (inside, Bloch phase over a full period, disc of _reciprocal_pair).
+    Returns (inside, disc of _reciprocal_pair), inside when a real root has
+    |w| <= 2 + _UNIT_CIRCLE_TOL.
     """
     ws, disc = _reciprocal_pair(_transfer(half_poly, lam))
-    if ws is None:
-        return False, 0.0, disc
-    on_circle = [w for w in ws if abs(w) <= 2.0 + _UNIT_CIRCLE_TOL]
-    if not on_circle:
-        return False, 0.0, disc
-    w = min(on_circle, key=abs) if len(on_circle) == 2 else on_circle[0]
-    half_phase = math.acos(min(max(w / 2.0, -1.0), 1.0))
-    return True, 2.0 * half_phase, disc
-
-
-@dataclass(frozen=True)
-class LeadingEigenvalue:
-    value: float
-    xi: float
-    period: float
+    inside = ws is not None and any(abs(w) <= 2.0 + _UNIT_CIRCLE_TOL for w in ws)
+    return inside, disc
 
 
 def leading_eigenvalue(
@@ -260,13 +234,12 @@ def leading_eigenvalue(
     bracket_hint: float | None = None,
     rk_steps: int = 2048,
     rtol: float = 1e-6,
-    full: bool = False,
-):
+) -> float:
     """Largest real spectrum point of the linearization about the a-wave.
 
     Membership of lam in the spectrum is tested through the Floquet
     multipliers of M(lam): lam is inside iff a multiplier sits on the unit
-    circle, which is the zero set of min_xi |D(lam, xi)| in exact
+    circle, the same set as the zeros of the Evans determinant in exact
     arithmetic but much better conditioned to evaluate.  The search keeps a
     bracket of an inside point (found by halving downward from the hint)
     and an outside point just above the hint; only membership verdicts move
@@ -292,14 +265,14 @@ def leading_eigenvalue(
     half = _step_polynomial(wave, params, half_map_steps(rk_steps), 0.5 * wave.period)
     probes = []  # (lam, disc) of every membership test, in order
 
-    def probe(lam: float) -> tuple[bool, float, float]:
-        inside, phase, disc = _in_spectrum(half, lam)
+    def probe(lam: float) -> tuple[bool, float]:
+        inside, disc = _in_spectrum(half, lam)
         probes.append((lam, disc))
-        return inside, phase, disc
+        return inside, disc
 
     hi = hint * 1.05
     for _ in range(60):
-        inside, _, d_hi = probe(hi)
+        inside, d_hi = probe(hi)
         if not inside:
             break
         hi *= 1.3
@@ -308,7 +281,7 @@ def leading_eigenvalue(
 
     lo = min(hint, hi / 1.05)
     for _ in range(60):
-        inside, phase, d_lo = probe(lo)
+        inside, d_lo = probe(lo)
         if inside:
             break
         lo *= 0.5
@@ -332,18 +305,13 @@ def leading_eigenvalue(
             lam = min(max(lam, lo + 0.25 * target), hi - 0.25 * target)
         else:
             lam = 0.5 * (lo + hi)
-        inside, ph, disc = probe(lam)
+        inside, disc = probe(lam)
         if inside:
-            lo, phase, d_lo = lam, ph, disc
+            lo, d_lo = lam, disc
         else:
             hi, d_hi = lam, disc
         budget *= 0.5
-    period = wave.period
-    lam = 0.5 * (lo + hi)
-    xi = (phase / period) % (2.0 * math.pi / period)
-    if full:
-        return LeadingEigenvalue(value=lam, xi=xi, period=period)
-    return lam
+    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -353,7 +321,6 @@ class EigTable:
     amplitudes: np.ndarray
     periods: np.ndarray
     lambda_max: np.ndarray
-    xi: np.ndarray
     kappa: float
     params: Params
 
@@ -384,7 +351,6 @@ class EigTable:
             amplitudes=data["amplitude"],
             periods=data["period"],
             lambda_max=data["lambda_max"],
-            xi=np.full(len(data), np.nan),
             kappa=kappa,
             params=params,
         )
@@ -443,7 +409,6 @@ def build_eig_table(
     amplitudes = np.asarray(amplitudes, dtype=float)
     n = amplitudes.size
     values = np.full(n, np.nan)
-    xis = np.full(n, np.nan)
     periods = period_of_amplitude(amplitudes, params)
 
     coarse = list(range(0, n, 4))
@@ -451,11 +416,10 @@ def build_eig_table(
         coarse.append(n - 1)
     hint = params.lambda_top
     for i in coarse:
-        res = leading_eigenvalue(
-            amplitudes[i], params, bracket_hint=hint, rk_steps=rk_steps, rtol=rtol, full=True
+        values[i] = leading_eigenvalue(
+            amplitudes[i], params, bracket_hint=hint, rk_steps=rk_steps, rtol=rtol
         )
-        values[i], xis[i] = res.value, res.xi
-        hint = res.value * 1.1
+        hint = values[i] * 1.1
 
     remaining = [i for i in range(n) if math.isnan(values[i])]
 
@@ -464,14 +428,13 @@ def build_eig_table(
         return values[j] * 1.1
 
     jobs = [(i, params, amplitudes[i], hint_for(i), rk_steps, rtol) for i in remaining]
-    for i, v, x in parallel_map(_solve_entry, jobs, workers):
-        values[i], xis[i] = v, x
+    for i, v in parallel_map(_solve_entry, jobs, workers):
+        values[i] = v
 
     return EigTable(
         amplitudes=amplitudes,
         periods=periods,
         lambda_max=values,
-        xi=xis,
         kappa=params.kappa,
         params=params,
     )
@@ -479,8 +442,7 @@ def build_eig_table(
 
 def _solve_entry(job):
     i, params, a, hint, rk_steps, rtol = job
-    res = leading_eigenvalue(a, params, bracket_hint=hint, rk_steps=rk_steps, rtol=rtol, full=True)
-    return i, res.value, res.xi
+    return i, leading_eigenvalue(a, params, bracket_hint=hint, rk_steps=rk_steps, rtol=rtol)
 
 
 def rescale_table(table: EigTable, kappa_new: float, params_new: Params | None = None) -> EigTable:
@@ -501,7 +463,6 @@ def rescale_table(table: EigTable, kappa_new: float, params_new: Params | None =
         amplitudes=table.amplitudes.copy(),
         periods=table.periods * math.sqrt(kappa_new / table.kappa),
         lambda_max=table.lambda_max * ratio,
-        xi=table.xi * math.sqrt(table.kappa / kappa_new),
         kappa=kappa_new,
         params=params_new,
     )

@@ -19,7 +19,6 @@ __all__ = [
     "Field",
     "derivative",
     "l2_norm",
-    "inner",
 ]
 
 
@@ -79,25 +78,17 @@ class Field:
         return float(self.values.mean())
 
 
-def derivative(f: Field, order: int) -> Field:
-    """Spectral derivative of the given order (1 through 4) over the full
-    half spectrum, so fields that are not band-limited are differentiated too."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"derivative order must be 1..4, got {order}")
+def derivative(f: Field) -> Field:
+    """Spectral first derivative over the full half spectrum, so fields that
+    are not band-limited are differentiated too."""
     grid = f.grid
-    mult = (1j * grid.k) ** order
-    if order % 2 == 1:
-        # The Nyquist coefficient of a real field is real; an odd power of ik
-        # would make it imaginary, so it is dropped.
-        mult[-1] = 0.0
+    mult = 1j * grid.k
+    # The Nyquist coefficient of a real field is real; ik would make it
+    # imaginary, so it is dropped.
+    mult[-1] = 0.0
     return Field(grid, grid.physical(np.fft.rfft(f.values) * mult))
 
 
 def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.dx * np.sum(f.values**2)))
 
-
-def inner(f: Field, g: Field) -> float:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return float(f.grid.dx * np.sum(f.values * g.values))

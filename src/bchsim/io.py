@@ -30,7 +30,6 @@ __all__ = [
     "write_snapshot",
     "read_field",
     "write_report",
-    "read_report",
     "write_run",
 ]
 
@@ -104,11 +103,6 @@ def write_report(out_dir, payload: dict) -> Path:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def read_report(out_dir) -> dict:
-    with open(Path(out_dir) / "report.json") as fh:
-        return json.load(fh)
 
 
 def _series_summary(series: TimeSeries) -> dict:

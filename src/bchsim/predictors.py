@@ -183,7 +183,8 @@ def predict_periods(t_grid, cfg: PredictorConfig, params: Params) -> TimeSeries:
     """Run the predictor cfg selects and return its (t, period) series."""
     if cfg.variant == "langer":
         t = np.asarray(t_grid, dtype=float)
-        return TimeSeries(t=t, period=langer_period(t, params, p0=cfg.p0, t0=cfg.t0))
+        p0 = cfg.start_period(params)
+        return TimeSeries(t=t, period=langer_period(t, params, p0=p0, t0=cfg.t0))
     return eigenvalue_ode_period(t_grid, cfg, params)
 
 

@@ -23,24 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Params",
-    "ellip_k",
     "sn_cn_dn",
     "WaveProfile",
     "periodic_wave",
     "period_of_amplitude",
     "amplitude_of_period",
-    "period_derivative",
-    "Spinodal",
-    "spinodal",
-    "Kink",
-    "kink",
 ]
 
 
@@ -56,11 +48,13 @@ class Params:
     half_length: float = 1.0
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for name in ("alpha", "beta", "kappa", "half_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.nu < 0 or self.K < 0:
-            raise ValueError("nu and K must be nonnegative")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("nu", "K"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     # potential and derivatives
 
@@ -110,6 +104,12 @@ class Params:
         """Free energy of the zero state on [-L, L), 2 L F(0)."""
         return self.half_length * self.beta**2 / (2.0 * self.alpha)
 
+    @property
+    def e_min(self) -> float:
+        """Free energy on [-L, L) of one kink binodal tanh(xi_s x), in closed form."""
+        k_l = self.binodal * math.tanh(self.xi_s * self.half_length)
+        return math.sqrt(2.0 * self.kappa * self.alpha) * k_l * (self.beta / self.alpha - k_l**2 / 3.0)
+
 
 _EPS = np.finfo(float).eps
 
@@ -127,23 +127,6 @@ def _agm(b):
         np.copyto(b, np.sqrt(a * b), where=live)
         np.copyto(a, a_next, where=live)
     return 0.5 * (a + b)
-
-
-def ellip_k(k: float | None = None, *, complement: float | None = None) -> float:
-    """Complete elliptic integral K in the modulus convention.
-
-    Pass either the modulus k in [0, 1) or its complement k' = sqrt(1-k^2)
-    in (0, 1]; the complement form avoids cancellation near k = 1.
-    """
-    if (k is None) == (complement is None):
-        raise ValueError("pass exactly one of k or complement")
-    if complement is None:
-        if not 0.0 <= k < 1.0:
-            raise ValueError(f"modulus must lie in [0, 1), got {k}")
-        complement = math.sqrt((1.0 - k) * (1.0 + k))
-    if not 0.0 < complement <= 1.0:
-        raise ValueError(f"complement must lie in (0, 1], got {complement}")
-    return math.pi / (2.0 * float(_agm(complement)))
 
 
 def sn_cn_dn(u, k: float, *, complement: float | None = None):
@@ -312,78 +295,3 @@ def amplitude_of_period(p, params: Params, rtol: float = 1e-13):
             break
     a = (binodal * (-np.expm1(-0.5 * (t_lo + t_hi)))).reshape(p.shape)
     return float(a) if a.ndim == 0 else a
-
-
-def period_derivative(a: float, params: Params) -> float:
-    """dp/da evaluated from the regularized quadrature form.
-
-    p'(a) = 2 sqrt(2 kappa)/sqrt(F(0) - F(a))
-            - sqrt(2 kappa) * int_0^a (F'(y) - F'(a)) / (F(y) - F(a))^{3/2} dy,
-    with the substitution y = a - u^2 removing the square-root endpoint
-    singularity of the integrand.
-    """
-    if not 0.0 < a < params.binodal:
-        raise ValueError(f"amplitude must lie in (0, {params.binodal}), got {a}")
-    f0 = params.f(0.0)
-    fa = params.f(a)
-    dfa = params.df(a)
-
-    def integrand(u: float) -> float:
-        y = a - u * u
-        gap = params.f(y) - fa
-        if gap <= 0.0:
-            # u -> 0 limit of the substituted integrand: -2 F''(a) / |F'(a)|^{3/2}.
-            return -2.0 * params.d2f(a) / max(-dfa, 1e-300) ** 1.5
-        return (params.df(y) - dfa) / gap**1.5 * 2.0 * u
-
-    tail, _ = quad(integrand, 0.0, math.sqrt(a), limit=200, epsabs=1e-12, epsrel=1e-11)
-    root = math.sqrt(2.0 * params.kappa)
-    return 2.0 * root / math.sqrt(f0 - fa) - root * tail
-
-
-@dataclass(frozen=True)
-class Spinodal:
-    """Linear-instability summary of the homogeneous zero state."""
-
-    p_min: float
-    xi_s: float
-    p_s: float
-    a_s: float
-    lambda_top: float
-
-
-def spinodal(params: Params) -> Spinodal:
-    return Spinodal(
-        p_min=params.p_min,
-        xi_s=params.xi_s,
-        p_s=params.p_s,
-        a_s=amplitude_of_period(params.p_s, params),
-        lambda_top=params.lambda_top,
-    )
-
-
-@dataclass(frozen=True)
-class Kink:
-    """Single transition layer connecting the binodal states."""
-
-    profile: Callable[[np.ndarray], np.ndarray]
-    e_min: float
-    e_min_inf: float
-
-
-def kink(params: Params) -> Kink:
-    binodal = params.binodal
-    rate = math.sqrt(params.beta / (2.0 * params.kappa))
-    length = params.half_length
-
-    def profile(x):
-        return binodal * np.tanh(rate * np.asarray(x, dtype=float))
-
-    k_l = binodal * math.tanh(rate * length)
-    e_min = math.sqrt(2.0 * params.kappa * params.alpha) * k_l * (
-        params.beta / params.alpha - k_l**2 / 3.0
-    )
-    e_min_inf = (2.0 / 3.0) * (params.beta**2 / params.alpha) * math.sqrt(
-        2.0 * params.kappa / params.beta
-    )
-    return Kink(profile=profile, e_min=e_min, e_min_inf=e_min_inf)

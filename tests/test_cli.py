@@ -4,12 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from conftest import read_report
 
 import bchsim.cli as cli
 from bchsim.cli import main
 from bchsim.ensemble import EnsembleReport
 from bchsim.grid import Grid
-from bchsim.io import read_report
 from bchsim.predictors import p_fit
 from bchsim.series import TimeSeries
 from bchsim.waves import Params
@@ -170,6 +170,32 @@ def test_usage_errors_exit_one(tmp_path, fast_config):
     odd_n = tmp_path / "odd.cfg"
     odd_n.write_text("coupling = uncoupled\nn = 100\n")
     assert main(["simulate", "--config", str(odd_n), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"seed": "-1"}, "seed"),
+    ({"kappa": "-1"}, "kappa"),
+    ({"kappa": "nan"}, "kappa"),
+    ({"dt": "nan"}, "dt"),
+    ({"coupling": "advective", "init_v": "fourier", "fourier_cutoff": "20"}, "fourier_cutoff"),
+])
+def test_bad_config_value_exits_one_before_the_run(overrides, key, tmp_path, capsys):
+    values = {"coupling": "uncoupled", "n": "64", "t_final": "0.01", "dt": "1e-3"}
+    values.update(overrides)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["langer", "eig"])
+@pytest.mark.parametrize("flag,value", [("--p0", "0.01"), ("--t0", "-1")])
+def test_predict_bad_start_exits_one_naming_the_flag(method, flag, value, tmp_path, capsys):
+    assert main(["predict", "--method", method, flag, value, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and len(err) < 200
+    assert not any(tmp_path.iterdir())
 
 
 def test_init_file_on_another_box_exits_one(tmp_path, capsys):

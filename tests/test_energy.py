@@ -22,7 +22,7 @@ from bchsim.energy import (
     wave_window_energy,
 )
 from bchsim.grid import Field, Grid
-from bchsim.waves import Params, amplitude_of_period, kink, period_of_amplitude, periodic_wave
+from bchsim.waves import Params, amplitude_of_period, period_of_amplitude, periodic_wave
 
 E_MAX = 0.5
 E_SPINODAL = 0.4219061143562932
@@ -130,6 +130,13 @@ def test_energy_of_period_rejects_any_bad_element(bad, params):
         energy_of_period(np.array([0.3, bad, 0.6]), params)
 
 
+def test_energy_of_period_names_the_first_bad_element(params):
+    with pytest.raises(ValueError, match=r"p_min = [0-9.]+, got 0.01$"):
+        energy_of_period(np.linspace(0.01, 0.5, 201), params)
+    with pytest.raises(ValueError, match="finite, got inf$"):
+        energy_of_period(np.array([0.3, math.inf, math.nan]), params)
+
+
 def test_coarseness_table_is_shared_across_flow_parameters(params):
     table = coarseness_table(params)
     assert coarseness_table(Params(nu=1.0, K=3.0)) is table
@@ -142,7 +149,7 @@ def test_energy_scale_landmarks(params):
     assert sc.e_max == pytest.approx(E_MAX, rel=1e-14)
     assert sc.e_spinodal == pytest.approx(E_SPINODAL, rel=1e-10)
     assert 2.0 * sc.e_min == pytest.approx(TWO_E_MIN, rel=1e-10)
-    assert sc.e_min == pytest.approx(kink(params).e_min, rel=1e-14)
+    assert sc.e_min == pytest.approx(params.e_min, rel=1e-14)
 
 
 def test_table_envelope_invariants(params, energy_table):

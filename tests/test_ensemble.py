@@ -187,6 +187,22 @@ def test_compare_coupled_validates_configs():
         compare_coupled(coupled, mismatched)
 
 
+def test_uncoupled_twin_pins_the_coupled_grid():
+    # an unset n resolves to 8192 coupled but 2048 uncoupled
+    coupled = SolverConfig(coupling="advective", seed=3, init_v="bump")
+    assert uncoupled_twin(coupled).n_eff == coupled.n_eff == 8192
+
+
+def test_compare_coupled_rejects_a_twin_on_another_grid(monkeypatch):
+    def never(cfg):
+        raise AssertionError("the runs must not start")
+
+    monkeypatch.setattr(ens, "run", never)
+    coupled = SolverConfig(coupling="advective", seed=3, init_v="bump")
+    with pytest.raises(ValueError, match="disagree on n_eff: 8192 vs 2048"):
+        compare_coupled(coupled, SolverConfig(seed=3))
+
+
 def _result_with_series(cfg: SolverConfig, series: TimeSeries) -> RunResult:
     g = Grid(cfg.n_eff)
     phi = Field(g, np.zeros(g.n))

@@ -10,7 +10,6 @@ from bchsim.evans import (
     build_eig_table,
     default_amplitudes,
     evans,
-    floquet_multipliers,
     leading_eigenvalue,
     monodromy,
     rescale_table,
@@ -83,7 +82,7 @@ def test_rk4_convergence_order(params):
 
 def test_multipliers_pair_into_reciprocals(params):
     mono = monodromy(25.0, 0.4, params)
-    mults = floquet_multipliers(mono)
+    mults = np.linalg.eigvals(mono.matrix)
     assert np.prod(mults) == pytest.approx(1.0, rel=1e-8)
     # the symplectic-like structure pairs each multiplier with its inverse
     for z in mults:
@@ -122,12 +121,6 @@ def test_leading_eigenvalue_near_spinodal_limit(params):
     lead = leading_eigenvalue(0.05, params)
     assert lead == pytest.approx(LAMBDA_TOP, rel=0.01)
     assert lead < LAMBDA_TOP
-
-
-def test_leading_eigenvalue_bloch_phase_is_canonical(params):
-    lead = leading_eigenvalue(0.3, params, full=True)
-    assert 0.0 <= lead.xi < 2.0 * math.pi / lead.period
-    assert lead.value == pytest.approx(leading_eigenvalue(0.3, params), rel=1e-12)
 
 
 def test_eig_table_monotone_trend(eig_table):
@@ -216,7 +209,7 @@ def _direct_map(lam, a, params, rk_steps, fraction):
 def _direct_leading_eigenvalue(a, params, hint, rk_steps=2048, rtol=1e-6):
     """leading_eigenvalue's bracket and bisection over the direct half map."""
     def inside(lam):
-        ws = evans_module._reciprocal_pair_w(_direct_map(lam, a, params, rk_steps, 0.5))
+        ws = evans_module._reciprocal_pair(_direct_map(lam, a, params, rk_steps, 0.5))[0]
         return ws is not None and any(abs(w) <= 2.0 + evans_module._UNIT_CIRCLE_TOL for w in ws)
 
     hi = hint * 1.05
@@ -333,7 +326,7 @@ def _planted_search(monkeypatch, params, edge, disc_of):
 
     def planted(half_poly, lam):
         probes.append((lam, lam <= edge))
-        return lam <= edge, 0.0, disc_of(lam)
+        return lam <= edge, disc_of(lam)
 
     monkeypatch.setattr(evans_module, "_in_spectrum", planted)
     return leading_eigenvalue(0.5, params, rtol=1e-6), probes

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchsim.grid import Field, Grid, derivative, inner, l2_norm
+from bchsim.grid import Field, Grid, derivative, l2_norm
 
 
 def test_grid_geometry():
@@ -25,19 +25,15 @@ def test_derivative_of_sine():
     g = Grid(128)
     k = 3.0 * np.pi
     f = Field(g, np.sin(k * g.x))
-    df = derivative(f, 1)
+    df = derivative(f)
     assert np.allclose(df.values, k * np.cos(k * g.x), atol=1e-9)
-    d2f = derivative(f, 2)
-    assert np.allclose(d2f.values, -k * k * np.sin(k * g.x), atol=1e-7)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_derivative_keeps_the_top_mode_for_even_orders_only(order):
-    # the Nyquist mode cos(n pi x / 2L) is dropped by odd orders and kept by even ones
+def test_derivative_drops_the_top_mode():
+    # the Nyquist mode cos(n pi x / 2L) of a real field has no real first derivative
     g = Grid(16)
     f = Field(g, np.cos(np.pi * g.n / 2 * g.x))
-    expected = 0.0 if order % 2 else (-1) ** (order // 2) * (np.pi * g.n / 2) ** order * f.values
-    assert np.allclose(derivative(f, order).values, expected, rtol=1e-12, atol=1e-9)
+    assert np.allclose(derivative(f).values, 0.0, rtol=1e-12, atol=1e-9)
 
 
 def test_grid_wavenumbers_are_the_real_transform_modes():
@@ -88,12 +84,6 @@ def test_parseval(seed):
     weights[[0, -1]] = 1.0
     spectral_sum = 2.0 * g.half_length * np.sum(weights * np.abs(hat) ** 2) / g.n**2
     assert l2_norm(f) ** 2 == pytest.approx(spectral_sum, rel=1e-12)
-
-
-def test_inner_matches_l2():
-    g = Grid(32)
-    f = _band_limited(g, 3)
-    assert inner(f, f) == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
 
 
 def test_field_mean():

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import read_report
 
 from bchsim.config import SolverConfig, parse_config
 from bchsim.grid import Field, Grid
 from bchsim.io import (
     read_field,
-    read_report,
     run_directory,
     snapshot_filename,
     write_report,

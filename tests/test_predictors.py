@@ -29,7 +29,6 @@ def _constant_rate_table(params: Params, rate: float) -> EigTable:
         amplitudes=np.linspace(0.01, 0.99, 50),
         periods=periods,
         lambda_max=np.full(50, rate),
-        xi=np.zeros(50),
         kappa=params.kappa,
         params=params,
     )
@@ -144,6 +143,11 @@ def test_predictor_config_validation(params, eig_table):
         PredictorConfig(p0=0.5 * params.p_min).start_period(params)
     assert PredictorConfig(variant="eig_half", eig_table=eig_table).factor == 0.5
     assert PredictorConfig().start_period(params) == pytest.approx(params.p_s)
+
+
+def test_langer_path_checks_the_start_period(params):
+    with pytest.raises(ValueError, match="below the shortest admissible period"):
+        predict_periods(np.linspace(0.0, 1.0, 3), PredictorConfig(p0=0.01), params)
 
 
 def test_predicted_energy_curve_composes(params):

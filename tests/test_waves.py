@@ -7,17 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from bchsim.waves import (
-    Params,
-    amplitude_of_period,
-    ellip_k,
-    kink,
-    period_derivative,
-    period_of_amplitude,
-    periodic_wave,
-    sn_cn_dn,
-    spinodal,
-)
+from bchsim.waves import Params, amplitude_of_period, period_of_amplitude, periodic_wave, sn_cn_dn
 
 # Landmark values for alpha = beta = 1, kappa = 1e-3, L = 1.
 P_MIN = 0.198691765315922
@@ -44,25 +34,6 @@ def quarter_period_quadrature(a: float, params: Params) -> float:
     return 4.0 * math.sqrt(2.0 * params.kappa / alpha) * val
 
 
-@pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9, 0.99, 0.9999])
-def test_ellip_k_against_quadrature(k):
-    def integrand(theta):
-        return 1.0 / math.sqrt(1.0 - (k * math.sin(theta)) ** 2)
-
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-13)
-    assert ellip_k(k) == pytest.approx(val, rel=1e-12)
-
-
-def test_ellip_k_matches_scipy():
-    for k in (0.2, 0.7, 0.95):
-        assert ellip_k(k) == pytest.approx(float(ellipk(k * k)), rel=1e-12)
-
-
-def test_ellip_k_rejects_unit_modulus():
-    with pytest.raises(ValueError):
-        ellip_k(1.0)
-
-
 @given(u=st.floats(-8.0, 8.0), k=st.floats(0.0, 0.999))
 @settings(max_examples=60, deadline=None)
 def test_jacobi_identities(u, k):
@@ -83,7 +54,7 @@ def test_jacobi_matches_scipy():
 
 def test_jacobi_periodicity():
     k = 0.8
-    big_k = ellip_k(k)
+    big_k = float(ellipk(k * k))
     sn0, cn0, _ = sn_cn_dn(0.37, k)
     sn4, cn4, _ = sn_cn_dn(0.37 + 4.0 * big_k, k)
     assert sn4 == pytest.approx(sn0, abs=1e-11)
@@ -91,12 +62,17 @@ def test_jacobi_periodicity():
 
 
 def test_landmarks(params):
-    sp = spinodal(params)
-    assert sp.p_min == pytest.approx(P_MIN, rel=1e-12)
-    assert sp.p_s == pytest.approx(P_S, rel=1e-12)
-    assert sp.a_s == pytest.approx(A_S, rel=1e-10)
-    assert sp.lambda_top == pytest.approx(LAMBDA_TOP, rel=1e-14)
-    assert sp.p_s == pytest.approx(math.sqrt(2.0) * sp.p_min, rel=1e-12)
+    assert params.p_min == pytest.approx(P_MIN, rel=1e-12)
+    assert params.p_s == pytest.approx(P_S, rel=1e-12)
+    assert amplitude_of_period(params.p_s, params) == pytest.approx(A_S, rel=1e-10)
+    assert params.lambda_top == pytest.approx(LAMBDA_TOP, rel=1e-14)
+    assert params.p_s == pytest.approx(math.sqrt(2.0) * params.p_min, rel=1e-12)
+
+
+def test_params_reject_nan():
+    for name in ("alpha", "beta", "kappa", "half_length", "nu", "K"):
+        with pytest.raises(ValueError, match=name):
+            Params(**{name: math.nan})
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.7, 0.95, 0.999])
@@ -158,18 +134,6 @@ def test_sn_is_odd_bitwise():
         assert np.array_equal(dn_m, dn)
 
 
-@pytest.mark.parametrize("a", [0.3, 0.7, 0.95])
-def test_period_derivative_matches_finite_difference(a, params):
-    h = 1e-6
-    fd = (period_of_amplitude(a + h, params) - period_of_amplitude(a - h, params)) / (2 * h)
-    assert period_derivative(a, params) == pytest.approx(fd, rel=1e-5)
-
-
-def test_period_derivative_positive(params):
-    for a in (0.1, 0.5, 0.9, 0.99):
-        assert period_derivative(a, params) > 0.0
-
-
 def test_wave_profile_shape(params):
     a = 0.7
     wave = periodic_wave(a, params)
@@ -216,14 +180,14 @@ def test_wave_is_bitwise_the_profile_of_with_derivatives(a, params):
 
 
 def test_kink_energy_values(params):
-    k = kink(params)
-    assert k.e_min_inf == pytest.approx(0.0298142396999972, rel=1e-12)
+    # the infinite-line kink energy (2/3)(beta^2/alpha) sqrt(2 kappa/beta);
     # the finite-box correction at L = 1 is exponentially small
-    assert k.e_min == pytest.approx(k.e_min_inf, rel=1e-10)
-    assert k.profile(np.array([50.0]))[0] == pytest.approx(params.binodal, rel=1e-12)
-    assert k.profile(np.array([0.0]))[0] == 0.0
+    e_inf = (2.0 / 3.0) * (params.beta**2 / params.alpha) * math.sqrt(
+        2.0 * params.kappa / params.beta)
+    assert params.e_min == pytest.approx(e_inf, rel=1e-10)
+    assert params.e_min == pytest.approx(0.0298142396999972, rel=1e-10)
 
 
 def test_spinodal_closes_the_loop(params):
-    sp = spinodal(params)
-    assert period_of_amplitude(sp.a_s, params) == pytest.approx(sp.p_s, rel=1e-10)
+    a_s = amplitude_of_period(params.p_s, params)
+    assert period_of_amplitude(a_s, params) == pytest.approx(params.p_s, rel=1e-10)

@@ -17,12 +17,7 @@ from .waves import Params
 
 __all__ = ["SolverConfig", "parse_config", "parse_config_file", "config_echo", "COUPLINGS"]
 
-COUPLINGS = {
-    "uncoupled": "uncoupled",
-    "advective": "advective",
-    "div1": "div_form_1",
-    "div2": "div_form_2",
-}
+COUPLINGS = ("uncoupled", "advective", "div1", "div2")
 
 _INT_KEYS = {"n", "record_every", "seed", "fourier_cutoff"}
 _FLOAT_KEYS = {"L", "alpha", "beta", "kappa", "nu", "K", "dt", "t_final", "stabilizer_A"}
@@ -67,13 +62,18 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        self.params  # building Params checks alpha, beta, kappa, nu, K and L
+        if not self.L > 0:
+            raise ValueError(f"L must be positive, got {self.L}")
+        self.params  # building Params checks alpha, beta, kappa, nu and K
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
+        # A = 0 is the unstabilized scheme; A < 0 would turn its damping into growth
+        if self.stabilizer_A is not None and self.stabilizer_A < 0:
+            raise ValueError(f"stabilizer_A must be nonnegative, got {self.stabilizer_A}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.fourier_cutoff < 1:
@@ -86,10 +86,6 @@ class SolverConfig:
     @property
     def coupled(self) -> bool:
         return self.coupling != "uncoupled"
-
-    @property
-    def coupling_mode(self) -> str:
-        return COUPLINGS[self.coupling]
 
     @property
     def n_eff(self) -> int:

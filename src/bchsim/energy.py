@@ -237,6 +237,10 @@ class EnergyPeriodTable:
 
 
 _TABLES: dict = {}
+# period_from_energy bisects until the bracket periods agree to this
+_PERIOD_RTOL = 1e-10
+# kohn_otto_length takes fields whose mean is zero to this
+_MEAN_TOL = 1e-10
 
 
 def coarseness_table(params: Params) -> EnergyPeriodTable:
@@ -248,13 +252,13 @@ def coarseness_table(params: Params) -> EnergyPeriodTable:
     return _TABLES[key]
 
 
-def period_from_energy(e: float, table: EnergyPeriodTable, rtol: float = 1e-10) -> float:
+def period_from_energy(e: float, table: EnergyPeriodTable) -> float:
     """Infimum pseudoinverse p = inf {p >= p_min : E(p) <= e}.
 
     Energies outside (e_min, e_max] are clamped to the table range with a
     ClampWarning.  The first table cell crossing e is refined by bisection
     on the amplitude, which E and p both follow without inverting p(a),
-    until the periods of the bracket ends agree to rtol.
+    until the periods of the bracket ends agree to _PERIOD_RTOL.
     """
     params = table.params
     if e >= table.e_max:
@@ -268,7 +272,7 @@ def period_from_energy(e: float, table: EnergyPeriodTable, rtol: float = 1e-10) 
     idx = int(np.argmax(table.energies <= e))
     a_lo, a_hi = table.amplitudes[idx - 1], table.amplitudes[idx]
     p_lo, p_hi = table.periods[idx - 1], table.periods[idx]
-    while p_hi - p_lo > rtol * p_hi:
+    while p_hi - p_lo > _PERIOD_RTOL * p_hi:
         a_mid = 0.5 * (a_lo + a_hi)
         if not a_lo < a_mid < a_hi:
             break  # near the binodal the amplitude resolves no finer
@@ -280,14 +284,14 @@ def period_from_energy(e: float, table: EnergyPeriodTable, rtol: float = 1e-10) 
     return float(p_hi)
 
 
-def kohn_otto_length(phi: Field, mean_tol: float = 1e-10) -> float:
+def kohn_otto_length(phi: Field) -> float:
     """Interface-scale length sup {(1/2L) int phi zeta : zeta periodic, |zeta'| <= 1}.
 
     By duality the supremum equals (1/2L) min_c int |Phi - c| with Phi the
     periodic antiderivative of phi, minimized at the median of Phi.
     """
-    if abs(phi.mean()) > mean_tol:
-        raise ValueError(f"field mean {phi.mean():.3e} exceeds tolerance {mean_tol:.1e}")
+    if abs(phi.mean()) > _MEAN_TOL:
+        raise ValueError(f"field mean {phi.mean():.3e} exceeds tolerance {_MEAN_TOL:.1e}")
     grid = phi.grid
     hat = np.fft.rfft(phi.values)
     anti = np.zeros_like(hat)

@@ -81,21 +81,12 @@ class EnsembleReport:
         return out
 
 
-def _run_trial(job: tuple[int, SolverConfig]) -> tuple[int, TimeSeries]:
-    index, cfg = job
-    return index, run(cfg).series
-
-
-def _attempt_trial(job: tuple[int, SolverConfig]) -> tuple[TimeSeries | None, str | None]:
+def _attempt_trial(cfg: SolverConfig) -> tuple[TimeSeries | None, str | None]:
     """(series, None) for a finished trial, (None, message) for a failed one."""
     try:
-        return _run_trial(job)[1], None
+        return run(cfg).series, None
     except Exception as exc:  # any failure ends this trial only
         return None, str(exc)
-
-
-def _trial_configs(config: SolverConfig, trials: int) -> list[SolverConfig]:
-    return [replace(config, seed=config.seed + i) for i in range(trials)]
 
 
 def _mean_columns(series: list[TimeSeries]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,7 +125,7 @@ def run_ensemble(config: SolverConfig, trials: int, workers: int = 1,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    jobs = list(enumerate(_trial_configs(config, trials)))
+    jobs = [replace(config, seed=config.seed + i) for i in range(trials)]
     outcomes = parallel_map(_attempt_trial, jobs, workers)
     results = [series for series, _ in outcomes]
     failures = [(i, error) for i, (_, error) in enumerate(outcomes) if error is not None]
@@ -215,7 +206,6 @@ class CompareReport:
     uncoupled_crossings: tuple[float | None, ...]
     coupled_fit: FitResult | None = None
     uncoupled_fit: FitResult | None = None
-    extras: dict = field(default_factory=dict)
 
     def rows(self) -> list[dict]:
         """Ratio table; a censored entry turns the ratio into a lower bound."""
@@ -245,7 +235,6 @@ class CompareReport:
             if fit is not None:
                 out[label] = {"c1": float(fit.c1), "c2": float(fit.c2),
                               "objective": float(fit.objective)}
-        out.update(self.extras)
         return out
 
 
@@ -299,24 +288,27 @@ def compare_coupled(coupled_cfg: SolverConfig,
     )
 
 
-def detect_energy_drops(times: np.ndarray, energies: np.ndarray,
-                        flat_tol: float = 5e-4, min_len: int = 5,
-                        drop_min: float = 0.01) -> list[tuple[float, float]]:
+_FLAT_TOL = 5e-4
+_MIN_LEN = 5
+_DROP_MIN = 0.01
+
+
+def detect_energy_drops(times: np.ndarray, energies: np.ndarray) -> list[tuple[float, float]]:
     """Locate staircase drops in a free-energy record.
 
-    A plateau is a run of at least ``min_len`` consecutive records whose
-    successive differences stay below ``flat_tol``.  Each pair of adjacent
-    plateaus whose levels differ by more than ``drop_min`` contributes one
-    ``(time, size)`` entry, timed at the gap midpoint.  The early
-    continuous decay produces no plateau and therefore no drop.
+    A plateau is a run of at least _MIN_LEN = 5 consecutive records whose
+    successive differences stay below _FLAT_TOL = 5e-4.  Each pair of
+    adjacent plateaus whose levels differ by more than _DROP_MIN = 0.01
+    contributes one ``(time, size)`` entry, timed at the gap midpoint.  The
+    early continuous decay produces no plateau and therefore no drop.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if times.shape != energies.shape or times.ndim != 1:
         raise ValueError("times and energies must be matching 1-D arrays")
-    if len(times) < min_len + 1:
+    if len(times) < _MIN_LEN + 1:
         return []
-    flat = np.abs(np.diff(energies)) < flat_tol
+    flat = np.abs(np.diff(energies)) < _FLAT_TOL
 
     plateaus: list[tuple[int, int]] = []
     start = None
@@ -324,10 +316,10 @@ def detect_energy_drops(times: np.ndarray, energies: np.ndarray,
         if ok and start is None:
             start = i
         elif not ok and start is not None:
-            if i - start + 1 >= min_len:
+            if i - start + 1 >= _MIN_LEN:
                 plateaus.append((start, i))
             start = None
-    if start is not None and len(energies) - start >= min_len:
+    if start is not None and len(energies) - start >= _MIN_LEN:
         plateaus.append((start, len(energies) - 1))
 
     drops: list[tuple[float, float]] = []
@@ -335,7 +327,7 @@ def detect_energy_drops(times: np.ndarray, energies: np.ndarray,
         level0 = float(np.mean(energies[s0:e0 + 1]))
         level1 = float(np.mean(energies[s1:e1 + 1]))
         size = level0 - level1
-        if size > drop_min:
+        if size > _DROP_MIN:
             t_mid = 0.5 * (times[e0] + times[s1])
             drops.append((float(t_mid), size))
     return drops

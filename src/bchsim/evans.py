@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _UNIT_CIRCLE_TOL = 1e-5
+# relative width at which the leading-eigenvalue bracket is closed
+_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,6 @@ def leading_eigenvalue(
     params: Params,
     bracket_hint: float | None = None,
     rk_steps: int = 2048,
-    rtol: float = 1e-6,
 ) -> float:
     """Largest real spectrum point of the linearization about the a-wave.
 
@@ -243,7 +244,7 @@ def leading_eigenvalue(
     arithmetic but much better conditioned to evaluate.  The search keeps a
     bracket of an inside point (found by halving downward from the hint)
     and an outside point just above the hint; only membership verdicts move
-    it, and it ends when the bracket is narrower than rtol, returning its
+    it, and it ends when the bracket is narrower than _RTOL, returning its
     midpoint.  The spectrum ends where two multipliers collide on the unit
     circle and leave it, so the discriminant disc of _reciprocal_pair
     changes sign there, nearly linearly in lam.  Each probe is therefore the
@@ -294,8 +295,8 @@ def leading_eigenvalue(
     # so the search never takes more than two probes beyond bisection.
     budget = 2.0 * (hi - lo)
     root = None
-    while hi - lo > rtol * hi:
-        width, target = hi - lo, rtol * hi
+    while hi - lo > _RTOL * hi:
+        width, target = hi - lo, _RTOL * hi
         (x0, d0), (x1, d1) = probes[-2:]
         if d_lo > 0.0 > d_hi and d0 != d1 and width <= budget:
             last, root = root, min(max(x1 - d1 * (x1 - x0) / (d1 - d0), lo), hi)
@@ -321,7 +322,6 @@ class EigTable:
     amplitudes: np.ndarray
     periods: np.ndarray
     lambda_max: np.ndarray
-    kappa: float
     params: Params
 
     def lambda_of_period(self, p) -> np.ndarray:
@@ -333,7 +333,7 @@ class EigTable:
 
     def to_csv(self, path) -> None:
         TimeSeries(amplitude=self.amplitudes, period=self.periods, lambda_max=self.lambda_max,
-                   kappa=np.full(self.amplitudes.size, self.kappa)).to_csv(path)
+                   kappa=np.full(self.amplitudes.size, self.params.kappa)).to_csv(path)
 
     @classmethod
     def from_csv(cls, path, params: Params) -> "EigTable":
@@ -347,13 +347,8 @@ class EigTable:
         kappa = float(data["kappa"][0])
         if abs(kappa - params.kappa) > 1e-15 * kappa:
             raise ValueError(f"table kappa {kappa} does not match params kappa {params.kappa}")
-        return cls(
-            amplitudes=data["amplitude"],
-            periods=data["period"],
-            lambda_max=data["lambda_max"],
-            kappa=kappa,
-            params=params,
-        )
+        return cls(amplitudes=data["amplitude"], periods=data["period"],
+                   lambda_max=data["lambda_max"], params=params)
 
 
 def _default_p_max(params: Params) -> float:
@@ -392,7 +387,6 @@ def build_eig_table(
     params: Params,
     amplitudes: np.ndarray | None = None,
     rk_steps: int = 2048,
-    rtol: float = 1e-6,
     p_max: float | None = None,
     workers: int = 1,
 ) -> EigTable:
@@ -416,9 +410,8 @@ def build_eig_table(
         coarse.append(n - 1)
     hint = params.lambda_top
     for i in coarse:
-        values[i] = leading_eigenvalue(
-            amplitudes[i], params, bracket_hint=hint, rk_steps=rk_steps, rtol=rtol
-        )
+        values[i] = leading_eigenvalue(amplitudes[i], params, bracket_hint=hint,
+                                       rk_steps=rk_steps)
         hint = values[i] * 1.1
 
     remaining = [i for i in range(n) if math.isnan(values[i])]
@@ -427,42 +420,30 @@ def build_eig_table(
         j = max(k for k in coarse if k < i)
         return values[j] * 1.1
 
-    jobs = [(i, params, amplitudes[i], hint_for(i), rk_steps, rtol) for i in remaining]
+    jobs = [(i, params, amplitudes[i], hint_for(i), rk_steps) for i in remaining]
     for i, v in parallel_map(_solve_entry, jobs, workers):
         values[i] = v
 
-    return EigTable(
-        amplitudes=amplitudes,
-        periods=periods,
-        lambda_max=values,
-        kappa=params.kappa,
-        params=params,
-    )
+    return EigTable(amplitudes=amplitudes, periods=periods, lambda_max=values, params=params)
 
 
 def _solve_entry(job):
-    i, params, a, hint, rk_steps, rtol = job
-    return i, leading_eigenvalue(a, params, bracket_hint=hint, rk_steps=rk_steps, rtol=rtol)
+    i, params, a, hint, rk_steps = job
+    return i, leading_eigenvalue(a, params, bracket_hint=hint, rk_steps=rk_steps)
 
 
-def rescale_table(table: EigTable, kappa_new: float, params_new: Params | None = None) -> EigTable:
+def rescale_table(table: EigTable, kappa_new: float) -> EigTable:
     """Exact kappa-rescaling: lambda scales as 1/kappa, periods as sqrt(kappa).
 
     Valid because the eigenvalue problem at equal amplitude maps onto itself
-    under x -> x / sqrt(kappa); the potential parameters must be unchanged.
+    under x -> x / sqrt(kappa) with the potential parameters unchanged.
     """
     if kappa_new <= 0:
         raise ValueError("kappa_new must be positive")
-    old = table.params
-    if params_new is None:
-        params_new = replace(old, kappa=kappa_new)
-    if (params_new.alpha, params_new.beta) != (old.alpha, old.beta):
-        raise ValueError("rescaling requires identical potential parameters")
-    ratio = table.kappa / kappa_new
+    kappa = table.params.kappa
     return EigTable(
         amplitudes=table.amplitudes.copy(),
-        periods=table.periods * math.sqrt(kappa_new / table.kappa),
-        lambda_max=table.lambda_max * ratio,
-        kappa=kappa_new,
-        params=params_new,
+        periods=table.periods * math.sqrt(kappa_new / kappa),
+        lambda_max=table.lambda_max * (kappa / kappa_new),
+        params=replace(table.params, kappa=kappa_new),
     )

@@ -1,18 +1,18 @@
 """Initial data protocols.
 
-Phase field: normal noise at the grid points projected onto the band
-spectrum (modes j < n/4), then (for run setup) pre-evolution of the
-uncoupled equation down to the energy surface 0.99 E_max, discarding
-and halving the step whenever it lands below target - tol.  Velocity:
-zero, the unit-sup-norm compactly supported bump, or random low-mode
-Fourier data.  All draws come from one generator per run, phase first,
-so a seed pins the whole initialization.
+Phase field: normal noise of standard deviation sigma = 0.1 at the grid
+points projected onto the band spectrum (modes j < n/4), then (for run
+setup) pre-evolution of the uncoupled equation down to the energy surface
+0.99 E_max within tol = 1e-4, discarding and halving the step whenever it
+lands below target - tol.  sigma, the 0.99 target and tol are fixed
+constants.  Velocity: zero, the unit-sup-norm compactly supported bump, or
+random low-mode Fourier data.  All draws come from one generator per run,
+phase first, so a seed pins the whole initialization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .io import read_field
 from .waves import Params
 
 __all__ = [
-    "InitRecipe",
     "DtUnderflowError",
     "random_phase_init",
     "pre_evolve_to_energy",
@@ -35,24 +34,13 @@ __all__ = [
     "build_initial_fields",
 ]
 
-
-@dataclass(frozen=True)
-class InitRecipe:
-    seed: int
-    sigma: float = 0.1
-    energy_target_frac: float = 0.99
-    energy_tol: float = 1e-4
-    fourier_cutoff: int = 32
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not 0.0 < self.energy_target_frac < 1.0:
-            raise ValueError("energy_target_frac must sit in (0, 1)")
-        if self.energy_tol <= 0:
-            raise ValueError("energy_tol must be positive")
-        if self.fourier_cutoff < 1:
-            raise ValueError("fourier_cutoff must be at least 1")
+_SIGMA = 0.1
+_ENERGY_TARGET_FRAC = 0.99
+_ENERGY_TOL = 1e-4
+# pre-evolution steps: first, smallest before giving up, and most taken
+_DT0 = 1e-3
+_DT_MIN = 1e-12
+_MAX_STEPS = 1_000_000
 
 
 class DtUnderflowError(RuntimeError):
@@ -63,17 +51,12 @@ class DtUnderflowError(RuntimeError):
         self.best_energy = best_energy
 
 
-def random_phase_init(recipe: InitRecipe, grid: Grid,
-                      rng: np.random.Generator | None = None) -> Field:
+def random_phase_init(grid: Grid, rng: np.random.Generator) -> Field:
     """Normal samples at the grid points with the modes j >= n/4 zeroed."""
-    if rng is None:
-        rng = np.random.default_rng(recipe.seed)
-    return _project(Field(grid, rng.normal(0.0, recipe.sigma, grid.n)))
+    return _project(Field(grid, rng.normal(0.0, _SIGMA, grid.n)))
 
 
-def pre_evolve_to_energy(phi: Field, recipe: InitRecipe, params: Params,
-                         dt0: float = 1e-3, dt_min: float = 1e-12,
-                         max_steps: int = 1_000_000) -> Field:
+def pre_evolve_to_energy(phi: Field, params: Params) -> Field:
     """Evolve the uncoupled equation until E lands on the target surface.
 
     A step that falls below target - tol is thrown away and retried with
@@ -82,8 +65,8 @@ def pre_evolve_to_energy(phi: Field, recipe: InitRecipe, params: Params,
     rejected.
     """
     grid = phi.grid
-    target = recipe.energy_target_frac * params.e_max
-    tol = recipe.energy_tol
+    target = _ENERGY_TARGET_FRAC * params.e_max
+    tol = _ENERGY_TOL
     energy = free_energy(phi, params)
     if abs(energy - target) <= tol:
         return phi
@@ -93,11 +76,11 @@ def pre_evolve_to_energy(phi: Field, recipe: InitRecipe, params: Params,
             f"{target:g} +- {tol:g}"
         )
 
-    dt = dt0
+    dt = _DT0
     stepper = _solver.Stepper(grid, params, dt, "uncoupled")
     phi_hat = grid.spectral(phi.values)
     best = energy
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         cand_hat, _ = stepper.advance(phi_hat, None)
         cand = Field(grid, grid.physical(cand_hat))
         cand_energy = free_energy(cand, params)
@@ -105,9 +88,9 @@ def pre_evolve_to_energy(phi: Field, recipe: InitRecipe, params: Params,
             return cand
         if cand_energy < target - tol:
             dt *= 0.5
-            if dt < dt_min:
+            if dt < _DT_MIN:
                 raise DtUnderflowError(
-                    f"step underflow below {dt_min:g} at energy {best:g} "
+                    f"step underflow below {_DT_MIN:g} at energy {best:g} "
                     f"(target {target:g} +- {tol:g})",
                     best_energy=best,
                 )
@@ -116,7 +99,7 @@ def pre_evolve_to_energy(phi: Field, recipe: InitRecipe, params: Params,
         phi_hat = cand_hat
         best = cand_energy
     raise DtUnderflowError(
-        f"no arrival at the target band within {max_steps} steps "
+        f"no arrival at the target band within {_MAX_STEPS} steps "
         f"(closest energy {best:g})",
         best_energy=best,
     )
@@ -141,18 +124,13 @@ def bump_velocity(grid: Grid) -> Field:
     return Field(grid, bump_profile(grid.x, grid.half_length))
 
 
-def random_fourier_velocity(recipe: InitRecipe, grid: Grid,
-                            rng: np.random.Generator | None = None) -> Field:
+def random_fourier_velocity(grid: Grid, rng: np.random.Generator, cutoff: int) -> Field:
     """Low-mode field with coefficients N(0,1) + i N(0,1) on modes 1..cutoff.
 
     The coefficients are used literally in the 1/n-normalized inverse
-    transform, so the field amplitude scales like cutoff/n.
+    transform, so the field amplitude scales like cutoff/n; SolverConfig
+    keeps cutoff below n/4.
     """
-    if rng is None:
-        rng = np.random.default_rng(recipe.seed)
-    cutoff = recipe.fourier_cutoff
-    if cutoff >= grid.n // 4:
-        raise ValueError(f"fourier_cutoff {cutoff} must stay below n/4 = {grid.n // 4}")
     re = rng.standard_normal(cutoff)
     im = rng.standard_normal(cutoff)
     hat = np.zeros(grid.band, dtype=complex)
@@ -181,12 +159,10 @@ def build_initial_fields(cfg: SolverConfig, grid: Grid,
     projected onto the band spectrum on entry.
     """
     rng = np.random.default_rng(cfg.seed)
-    recipe = InitRecipe(seed=cfg.seed, fourier_cutoff=cfg.fourier_cutoff)
     files = read_file_fields(cfg, grid)
 
     if cfg.init_phi == "random":
-        phi = random_phase_init(recipe, grid, rng)
-        phi = pre_evolve_to_energy(phi, recipe, params)
+        phi = pre_evolve_to_energy(random_phase_init(grid, rng), params)
     else:
         phi = _project(files["phi"])
 
@@ -197,7 +173,7 @@ def build_initial_fields(cfg: SolverConfig, grid: Grid,
     elif cfg.init_v == "bump":
         v = _project(bump_velocity(grid))
     elif cfg.init_v == "fourier":
-        v = random_fourier_velocity(recipe, grid, rng)
+        v = random_fourier_velocity(grid, rng, cfg.fourier_cutoff)
     else:
         v = _project(files["v"])
     return phi, v

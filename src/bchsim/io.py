@@ -118,8 +118,7 @@ def _series_summary(series: TimeSeries) -> dict:
     return out
 
 
-def write_run(out_dir, result: RunResult, command: str = "simulate",
-              extra: dict | None = None) -> dict:
+def write_run(out_dir, result: RunResult, command: str = "simulate") -> dict:
     """Persist a run and return the report payload that was written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -137,7 +136,5 @@ def write_run(out_dir, result: RunResult, command: str = "simulate",
         "snapshots": snap_files,
         "series": _series_summary(result.series),
     }
-    if extra:
-        report.update(extra)
     write_report(out_dir, report)
     return report

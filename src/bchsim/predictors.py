@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 VARIANTS = ("langer", "eig_full", "eig_half")
+# a rate-ODE step changes p by the local table spacing, clipped to [1e-4, _DP_MAX]
+_DP_MAX = 5e-4
+# Nelder--Mead starts of fit_pfit in (c1, c2)
+_STARTS = ((1.0, 1.0), (5.0, 5.0))
 
 
 @dataclass(frozen=True)
@@ -112,14 +116,8 @@ def p_fit(t, c1: float, c2: float, params: Params, p0: float | None = None, t0: 
     return float(out) if out.ndim == 0 else out
 
 
-def _integrate_rate_ode(
-    times: np.ndarray,
-    table: EigTable,
-    p0: float,
-    t0: float,
-    factor: float,
-    dp_max: float,
-) -> np.ndarray:
+def _integrate_rate_ode(times: np.ndarray, table: EigTable, p0: float, t0: float,
+                        factor: float) -> np.ndarray:
     """RK4 for dp/dt = factor lambda(p) p, step capped by local table spacing."""
     spacing = np.diff(table.periods)
     warned = False
@@ -139,7 +137,7 @@ def _integrate_rate_ode(
     def dp_cap(p: float) -> float:
         i = int(np.searchsorted(table.periods, p)) - 1
         i = min(max(i, 0), spacing.size - 1)
-        return float(np.clip(spacing[i], 1e-4, dp_max))
+        return float(np.clip(spacing[i], 1e-4, _DP_MAX))
 
     out = np.empty(times.size)
     p, t_cur = float(p0), float(t0)
@@ -157,17 +155,13 @@ def _integrate_rate_ode(
     return out
 
 
-def eigenvalue_ode_period(
-    t_grid, cfg: PredictorConfig, params: Params, dp_max: float = 5e-4
-) -> TimeSeries:
+def eigenvalue_ode_period(t_grid, cfg: PredictorConfig, params: Params) -> TimeSeries:
     """Spacing growth from dp/dt = factor * lambda_max(p) * p.
 
     lambda_max(p) interpolates cfg.eig_table; factor is 1 for eig_full and
     1/2 for eig_half.  A period beyond the table span clamps the rate to
     the last tabulated value and warns once.
     """
-    if cfg.eig_table is None:
-        raise ValueError("eigenvalue_ode_period needs cfg.eig_table")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
@@ -175,7 +169,7 @@ def eigenvalue_ode_period(
         raise ValueError("t_grid must be nondecreasing")
     _check_times(t, cfg.t0)
     p0 = cfg.start_period(params)
-    periods = _integrate_rate_ode(t, cfg.eig_table, p0, cfg.t0, cfg.factor, dp_max)
+    periods = _integrate_rate_ode(t, cfg.eig_table, p0, cfg.t0, cfg.factor)
     return TimeSeries(t=t, period=periods)
 
 
@@ -197,18 +191,11 @@ def predicted_energy_curve(t_grid, cfg: PredictorConfig, params: Params) -> Time
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted deformation parameters and the anchoring they assume."""
+    """Fitted deformation parameters and the objective they reach."""
 
     c1: float
     c2: float
     objective: float
-    t_window: tuple[float, float]
-    p0: float
-    t0: float
-    params: Params
-
-    def __call__(self, t):
-        return p_fit(t, self.c1, self.c2, self.params, p0=self.p0, t0=self.t0)
 
 
 def fit_window(series, t_max: float = 20.0, t0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -237,14 +224,8 @@ def fit_window(series, t_max: float = 20.0, t0: float = 0.0) -> tuple[np.ndarray
     return tt, pp
 
 
-def fit_pfit(
-    series,
-    params: Params,
-    t_max: float = 20.0,
-    p0: float | None = None,
-    t0: float = 0.0,
-    starts=((1.0, 1.0), (5.0, 5.0)),
-) -> FitResult:
+def fit_pfit(series, params: Params, t_max: float = 20.0, p0: float | None = None,
+             t0: float = 0.0) -> FitResult:
     """Fit (c1, c2) to measured spacing data on [0, t_max].
 
     series is a TimeSeries with t and period columns, or a (times, periods)
@@ -267,7 +248,7 @@ def fit_pfit(
         return float(trapezoid(resid**2 * weight, tt))
 
     best = None
-    for start in starts:
+    for start in _STARTS:
         res = minimize(
             objective,
             x0=np.log(np.asarray(start, dtype=float)),
@@ -276,16 +257,7 @@ def fit_pfit(
         )
         if best is None or res.fun < best.fun:
             best = res
-    c1, c2 = math.exp(best.x[0]), math.exp(best.x[1])
-    return FitResult(
-        c1=c1,
-        c2=c2,
-        objective=float(best.fun),
-        t_window=(float(tt[0]), float(tt[-1])),
-        p0=p0,
-        t0=t0,
-        params=params,
-    )
+    return FitResult(c1=math.exp(best.x[0]), c2=math.exp(best.x[1]), objective=float(best.fun))
 
 
 @dataclass(frozen=True)
@@ -294,24 +266,17 @@ class Handshake:
 
     t0: float
     p0: float
-    index: int
 
 
 def handshake(times, energies, params: Params) -> Handshake:
     """First time the (ensemble mean) free energy reaches the marginally
-    stable wave energy; the spacing there is pinned to p_s.
-
-    energies may be one run (1-D) or a trials-by-time stack (2-D, averaged).
-    """
+    stable wave energy; the spacing there is pinned to p_s."""
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    if energies.ndim == 2:
-        energies = energies.mean(axis=0)
     if energies.shape != times.shape:
         raise ValueError("times and energies must align")
     e_s = energy_scale(params).e_spinodal
     below = np.nonzero(energies <= e_s)[0]
     if below.size == 0:
         raise ValueError("free energy never reaches the marginal wave energy")
-    i = int(below[0])
-    return Handshake(t0=float(times[i]), p0=params.p_s, index=i)
+    return Handshake(t0=float(times[below[0]]), p0=params.p_s)

@@ -47,10 +47,9 @@ class TimeSeries:
     def names(self) -> tuple[str, ...]:
         return tuple(self.columns)
 
-    def to_csv(self, path, names: tuple[str, ...] | None = None) -> None:
-        names = names or self.names
-        lines = [",".join(names)]
-        cols = [self.columns[n] for n in names]
+    def to_csv(self, path) -> None:
+        lines = [",".join(self.names)]
+        cols = list(self.columns.values())
         for i in range(len(self)):
             lines.append(",".join(repr(float(c[i])) for c in cols))
         Path(path).write_text("\n".join(lines) + "\n")

@@ -7,8 +7,8 @@ on the periodic interval [-L, L).  Coupling modes:
 
     uncoupled   no velocity; plain conserved gradient flow of phi
     advective   advection v phi_x, source K mu phi_x
-    div_form_1  advection (v phi)_x, source K mu phi_x
-    div_form_2  advection (v phi)_x, source -K mu_x phi
+    div1        advection (v phi)_x, source K mu phi_x
+    div2        advection (v phi)_x, source -K mu_x phi
 
 Each step treats the stiff linear parts implicitly: the phase update
 solves (1 + dt kappa k^4 + dt A k^2) phi^{n+1} = rhs with stabilizer A,
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import COUPLINGS, SolverConfig
 from .energy import coarseness_table
 from .grid import Field, Grid
 from .series import TimeSeries
@@ -39,7 +39,6 @@ from .waves import Params
 
 __all__ = [
     "SolverError",
-    "State",
     "Stepper",
     "run",
     "RunResult",
@@ -48,30 +47,9 @@ __all__ = [
     "energy_balance_residual",
 ]
 
-_MODES = ("uncoupled", "advective", "div_form_1", "div_form_2")
-
 
 class SolverError(RuntimeError):
     """Time integration failed (CFL violation, non-finite fields, ...)."""
-
-
-@dataclass
-class State:
-    """Solution snapshot; v is None exactly in uncoupled mode."""
-
-    t: float
-    phi: Field
-    v: Field | None
-    params: Params
-    coupling_mode: str
-
-    def __post_init__(self):
-        if self.coupling_mode not in _MODES:
-            raise ValueError(f"coupling_mode must be one of {_MODES}")
-        if (self.v is None) != (self.coupling_mode == "uncoupled"):
-            raise ValueError("v must be present exactly when the mode is coupled")
-        if self.v is not None and self.v.grid != self.phi.grid:
-            raise ValueError("phi and v must share a grid")
 
 
 class Stepper:
@@ -84,8 +62,8 @@ class Stepper:
 
     def __init__(self, grid: Grid, params: Params, dt: float, coupling_mode: str,
                  stabilizer: float | None = None):
-        if coupling_mode not in _MODES:
-            raise ValueError(f"coupling_mode must be one of {_MODES}")
+        if coupling_mode not in COUPLINGS:
+            raise ValueError(f"coupling_mode must be one of {COUPLINGS}")
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
@@ -108,7 +86,7 @@ class Stepper:
         self.mu_lin = p.kappa * k2 - p.beta
         # v^{n+1} = c_v v + c_src P[source] + c_burgers P[v^2]
         self.c_v = 1.0 / (1.0 + dt * p.nu * k2)
-        self.c_src = (-dt if coupling_mode == "div_form_2" else dt) * p.K * self.c_v
+        self.c_src = (-dt if coupling_mode == "div2" else dt) * p.K * self.c_v
         self.c_burgers = -0.5 * dt * self.ik * self.c_v
 
     def cubic_hat(self, phi: np.ndarray) -> np.ndarray:
@@ -134,7 +112,7 @@ class Stepper:
                               f"{self.grid.dx / max(v_max, 1.0):g}")
 
         mu_hat = self.mu_hat(phi_hat, cubic_hat)
-        if self.coupling_mode == "div_form_2":
+        if self.coupling_mode == "div2":
             adv_hat = self.spectral(v * phi)
             source_hat = self.spectral(self.physical(self.ik * mu_hat) * phi)
         else:
@@ -146,7 +124,7 @@ class Stepper:
         return new_phi + self.c_adv * adv_hat, new_v
 
 
-def resolution_check(state: State) -> tuple[bool, float]:
+def resolution_check(state: Snapshot) -> tuple[bool, float]:
     """True when every coefficient j >= n/4 of phi (and v) is below machine
     epsilon relative to the spectral scale.  The transform runs in extended
     precision, so its own roundoff does not count.  A stepped field has no
@@ -170,7 +148,7 @@ def energy_balance_residual(t: np.ndarray, lyapunov: np.ndarray,
 
     Q is the Lyapunov functional recorded at the same times as the
     instantaneous dissipation rate; r vanishes to the scheme's order for
-    the modes with an energy balance (uncoupled, advective, div_form_2).
+    the modes with an energy balance (uncoupled, advective, div2).
     """
     t = np.asarray(t, dtype=float)
     q = np.asarray(lyapunov, dtype=float)
@@ -196,7 +174,7 @@ class RunResult:
     config: SolverConfig
     series: TimeSeries
     snapshots: list[Snapshot]
-    final_state: State
+    final_state: Snapshot
     resolution_ok: bool
     resolution_tail: float
 
@@ -209,7 +187,7 @@ def run(config: SolverConfig) -> RunResult:
     grid = cfg.make_grid()
     params = cfg.params
     dt = cfg.dt_eff
-    stepper = Stepper(grid, params, dt, cfg.coupling_mode, cfg.stabilizer_eff)
+    stepper = Stepper(grid, params, dt, cfg.coupling, cfg.stabilizer_eff)
     n_steps = max(1, round(cfg.t_final / dt))
     late = [t for t in cfg.snapshot_times if t > n_steps * dt + 1e-12]
     if late:
@@ -255,14 +233,13 @@ def run(config: SolverConfig) -> RunResult:
         lyapunov.append(kinetic + params.K * e)
         dissipation.append(diss)
 
-    def snap(t: float) -> None:
-        phi = Field(grid, grid.physical(phi_hat))
+    def snap(t: float) -> Snapshot:
         v = None if v_hat is None else Field(grid, grid.physical(v_hat))
-        snapshots.append(Snapshot(t=t, phi=phi, v=v))
+        return Snapshot(t=t, phi=Field(grid, grid.physical(phi_hat)), v=v)
 
     record(0)
     while snaps_due and snaps_due[0] <= 1e-12:
-        snap(0.0)
+        snapshots.append(snap(0.0))
         snaps_due.pop(0)
 
     for i in range(1, n_steps + 1):
@@ -274,7 +251,7 @@ def run(config: SolverConfig) -> RunResult:
         if i % cfg.record_every == 0 or i == n_steps:
             record(i)
         while snaps_due and snaps_due[0] <= t + 1e-12:
-            snap(t)
+            snapshots.append(snap(t))
             snaps_due.pop(0)
 
     residual = energy_balance_residual(
@@ -283,10 +260,7 @@ def run(config: SolverConfig) -> RunResult:
     rows["balance_residual"] = list(residual)
     series = TimeSeries(**{k: np.array(v) for k, v in rows.items()})
 
-    final_phi = Field(grid, grid.physical(phi_hat))
-    final_v = None if v_hat is None else Field(grid, grid.physical(v_hat))
-    final = State(t=n_steps * dt, phi=final_phi, v=final_v, params=params,
-                  coupling_mode=cfg.coupling_mode)
+    final = snap(n_steps * dt)
     ok, tail = resolution_check(final)
     return RunResult(config=cfg, series=series, snapshots=snapshots,
                      final_state=final, resolution_ok=ok, resolution_tail=tail)

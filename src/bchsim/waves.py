@@ -70,11 +70,6 @@ class Params:
         out = self.alpha * u**3 - self.beta * u
         return float(out) if out.ndim == 0 else out
 
-    def d2f(self, u):
-        u = np.asarray(u, dtype=float)
-        out = 3.0 * self.alpha * u**2 - self.beta
-        return float(out) if out.ndim == 0 else out
-
     @property
     def binodal(self) -> float:
         return math.sqrt(self.beta / self.alpha)
@@ -112,6 +107,8 @@ class Params:
 
 
 _EPS = np.finfo(float).eps
+# amplitude_of_period bisects until the bracket agrees to this, relatively
+_AMPLITUDE_RTOL = 1e-13
 
 
 def _agm(b):
@@ -258,7 +255,7 @@ def period_of_amplitude(a, params: Params):
     return float(p) if p.ndim == 0 else p
 
 
-def amplitude_of_period(p, params: Params, rtol: float = 1e-13):
+def amplitude_of_period(p, params: Params):
     """Invert p(a) by bisection, all elements of p at once.
 
     The bisection runs in the variable t with a = binodal (1 - exp(-t)),
@@ -268,7 +265,8 @@ def amplitude_of_period(p, params: Params, rtol: float = 1e-13):
     """
     p = np.asarray(p, dtype=float)
     if not np.all(p > params.p_min):
-        raise ValueError(f"period must exceed p_min = {params.p_min}, got {p}")
+        raise ValueError(f"period must exceed p_min = {params.p_min}, "
+                         f"got {p[~(p > params.p_min)][0]}")
     binodal = params.binodal
     target = p.ravel()
 
@@ -290,7 +288,7 @@ def amplitude_of_period(p, params: Params, rtol: float = 1e-13):
         below = period_at(mid) < target
         np.copyto(t_lo, mid, where=live & below)
         np.copyto(t_hi, mid, where=live & ~below)
-        live &= t_hi - t_lo > rtol * t_hi
+        live &= t_hi - t_lo > _AMPLITUDE_RTOL * t_hi
         if not np.count_nonzero(live):
             break
     a = (binodal * (-np.expm1(-0.5 * (t_lo + t_hi)))).reshape(p.shape)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, stdout formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,8 @@ def test_usage_errors_exit_one(tmp_path, fast_config):
     ({"kappa": "nan"}, "kappa"),
     ({"dt": "nan"}, "dt"),
     ({"coupling": "advective", "init_v": "fourier", "fourier_cutoff": "20"}, "fourier_cutoff"),
+    ({"L": "-1"}, "L"),
+    ({"stabilizer_A": "-1"}, "stabilizer_A"),
 ])
 def test_bad_config_value_exits_one_before_the_run(overrides, key, tmp_path, capsys):
     values = {"coupling": "uncoupled", "n": "64", "t_final": "0.01", "dt": "1e-3"}
@@ -185,7 +188,7 @@ def test_bad_config_value_exits_one_before_the_run(overrides, key, tmp_path, cap
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert key in capsys.readouterr().err
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 

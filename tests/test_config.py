@@ -48,8 +48,8 @@ def test_bad_value_reports_key():
 
 
 def test_coupling_tokens():
-    assert parse_config("coupling = div1\ninit_v = fourier\n").coupling_mode == "div_form_1"
-    assert parse_config("coupling = div2\ninit_v = fourier\n").coupling_mode == "div_form_2"
+    for name in ("advective", "div1", "div2"):
+        assert parse_config(f"coupling = {name}\ninit_v = fourier\n").coupling == name
     with pytest.raises(ValueError):
         parse_config("coupling = sideways\n")
 

@@ -15,7 +15,7 @@ from bchsim.ensemble import (
 )
 from bchsim.grid import Field, Grid
 from bchsim.series import TimeSeries
-from bchsim.solver import RunResult, Snapshot, State
+from bchsim.solver import RunResult, Snapshot
 from bchsim.waves import Params
 
 
@@ -34,13 +34,14 @@ def _synthetic_series(t, energy, period=None) -> TimeSeries:
     return TimeSeries(t=t, free_energy=energy, period=np.asarray(period, float))
 
 
-def _fake_trial(series_for_index):
-    def fake(job):
-        index, _cfg = job
-        out = series_for_index(index)
+def _fake_run(series_for_index):
+    """A stand-in for solver.run that returns, or raises, series_for_index(i)
+    for trial i of _fast_cfg."""
+    def fake(cfg):
+        out = series_for_index(cfg.seed - _fast_cfg().seed)
         if isinstance(out, Exception):
             raise out
-        return index, out
+        return _result_with_series(cfg, out)
     return fake
 
 
@@ -74,7 +75,7 @@ def test_failed_trial_marks_partial(monkeypatch, error):
             return exc
         return good
 
-    monkeypatch.setattr(ens, "_run_trial", _fake_trial(series_for))
+    monkeypatch.setattr(ens, "run", _fake_run(series_for))
     report = run_ensemble(_fast_cfg(), trials=3, overlays=False)
     assert report.partial
     assert report.failures == [(1, str(exc))]
@@ -97,9 +98,7 @@ def test_worker_pool_gives_the_serial_series():
 
 
 def test_all_failures_raise(monkeypatch):
-    monkeypatch.setattr(
-        ens, "_run_trial", _fake_trial(lambda i: RuntimeError("dead"))
-    )
+    monkeypatch.setattr(ens, "run", _fake_run(lambda i: RuntimeError("dead")))
     with pytest.raises(RuntimeError, match="all 3 trials"):
         run_ensemble(_fast_cfg(), trials=3, overlays=False)
 
@@ -109,7 +108,7 @@ def test_mismatched_record_grids_rejected(monkeypatch):
         t = np.linspace(0.0, 1.0, 6 + index)
         return _synthetic_series(t, np.full(t.size, 0.5))
 
-    monkeypatch.setattr(ens, "_run_trial", _fake_trial(series_for))
+    monkeypatch.setattr(ens, "run", _fake_run(series_for))
     with pytest.raises(ValueError, match="record grids"):
         run_ensemble(_fast_cfg(), trials=2, overlays=False)
 
@@ -117,9 +116,7 @@ def test_mismatched_record_grids_rejected(monkeypatch):
 def test_overlays_start_at_the_handshake(monkeypatch, eig_table, params):
     t = np.linspace(0.0, 10.0, 21)
     energy = np.linspace(0.5, 0.35, 21)
-    monkeypatch.setattr(
-        ens, "_run_trial", _fake_trial(lambda i: _synthetic_series(t, energy))
-    )
+    monkeypatch.setattr(ens, "run", _fake_run(lambda i: _synthetic_series(t, energy)))
     report = run_ensemble(_fast_cfg(), trials=2, overlays=True, eig_table=eig_table)
     hs = report.handshake
     assert hs is not None
@@ -137,11 +134,7 @@ def test_overlays_start_at_the_handshake(monkeypatch, eig_table, params):
 
 def test_no_spinodal_crossing_means_no_overlays(monkeypatch):
     t = np.linspace(0.0, 1.0, 6)
-    monkeypatch.setattr(
-        ens,
-        "_run_trial",
-        _fake_trial(lambda i: _synthetic_series(t, np.full(6, 0.49))),
-    )
+    monkeypatch.setattr(ens, "run", _fake_run(lambda i: _synthetic_series(t, np.full(6, 0.49))))
     report = run_ensemble(_fast_cfg(), trials=1, overlays=True)
     assert report.handshake is None
     assert report.overlays is None
@@ -207,8 +200,7 @@ def _result_with_series(cfg: SolverConfig, series: TimeSeries) -> RunResult:
     g = Grid(cfg.n_eff)
     phi = Field(g, np.zeros(g.n))
     v = None if not cfg.coupled else Field(g, np.zeros(g.n))
-    state = State(cfg.t_final, phi, v, cfg.params, cfg.coupling_mode)
-    return RunResult(cfg, series, [], state, True, 0.0)
+    return RunResult(cfg, series, [], Snapshot(cfg.t_final, phi, v), True, 0.0)
 
 
 def test_compare_report_ratio_semantics():
@@ -291,7 +283,7 @@ def test_detect_energy_drops_respects_drop_min():
     t = np.arange(0.0, 40.0)
     e = np.where(t < 20, 0.5, 0.495)
     assert detect_energy_drops(t, e) == []
-    assert detect_energy_drops(t, e, drop_min=0.001) != []
+    assert detect_energy_drops(t, 10.0 * e) != []
 
 
 def test_detect_energy_drops_input_checks():

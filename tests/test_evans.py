@@ -245,8 +245,8 @@ def test_transfer_polynomial_matches_direct_rk4(a, params):
 
 @pytest.mark.parametrize("a", [0.2, 0.6, 0.9, 0.98])
 def test_leading_eigenvalue_matches_direct_bisection(a, params):
-    rtol = 1e-6
-    lead = leading_eigenvalue(a, params, rtol=rtol)
+    rtol = evans_module._RTOL
+    lead = leading_eigenvalue(a, params)
     assert lead >= 0.01
     assert lead == pytest.approx(_direct_leading_eigenvalue(a, params, LAMBDA_TOP, rtol=rtol),
                                  rel=2.0 * rtol)
@@ -329,7 +329,7 @@ def _planted_search(monkeypatch, params, edge, disc_of):
         return lam <= edge, disc_of(lam)
 
     monkeypatch.setattr(evans_module, "_in_spectrum", planted)
-    return leading_eigenvalue(0.5, params, rtol=1e-6), probes
+    return leading_eigenvalue(0.5, params), probes
 
 
 @pytest.mark.parametrize("edge", [0.37, 41.0, 180.0, 249.0])

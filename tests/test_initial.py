@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import bchsim.initial as initial
 from bchsim.config import SolverConfig
 from bchsim.energy import free_energy
 from bchsim.grid import Field, Grid
 from bchsim.initial import (
     BUMP_C,
     DtUnderflowError,
-    InitRecipe,
     bump_profile,
     bump_velocity,
     build_initial_fields,
@@ -60,17 +60,21 @@ def test_bump_velocity_on_grid():
     assert v.values.max() <= 1.0 + 1e-12
 
 
+def _rng(seed):
+    return np.random.default_rng(seed)
+
+
 def test_fourier_velocity_band_limited_and_deterministic():
     g = Grid(256)
-    recipe = InitRecipe(seed=11)
-    v = random_fourier_velocity(recipe, g)
+    cutoff = 32
+    v = random_fourier_velocity(g, _rng(11), cutoff)
     hat = np.fft.rfft(v.values)
     assert abs(hat[0]) < 1e-12 * g.n
-    outside = np.arange(hat.size) > recipe.fourier_cutoff
+    outside = np.arange(hat.size) > cutoff
     assert np.abs(hat[outside]).max() < 1e-10 * np.abs(hat).max()
-    again = random_fourier_velocity(recipe, g)
+    again = random_fourier_velocity(g, _rng(11), cutoff)
     assert np.array_equal(v.values, again.values)
-    other = random_fourier_velocity(InitRecipe(seed=12), g)
+    other = random_fourier_velocity(g, _rng(12), cutoff)
     assert not np.array_equal(v.values, other.values)
 
 
@@ -80,48 +84,45 @@ def test_fourier_velocity_amplitude_scale():
     g = Grid(512)
     cutoff = 32
     ms = [
-        float(np.mean(random_fourier_velocity(InitRecipe(seed=s), g).values ** 2))
+        float(np.mean(random_fourier_velocity(g, _rng(s), cutoff).values ** 2))
         for s in range(20)
     ]
     assert np.mean(ms) == pytest.approx(4.0 * cutoff / g.n**2, rel=0.15)
 
 
 def test_fourier_velocity_cutoff_guard():
-    g = Grid(64)
     with pytest.raises(ValueError, match="fourier_cutoff"):
-        random_fourier_velocity(InitRecipe(seed=0, fourier_cutoff=16), g)
+        SolverConfig(coupling="advective", n=64, init_v="fourier", fourier_cutoff=16)
 
 
 def test_random_phase_init_band_and_determinism():
     g = Grid(256)
-    recipe = InitRecipe(seed=4)
-    phi = random_phase_init(recipe, g)
+    phi = random_phase_init(g, _rng(4))
     hat = np.fft.rfft(phi.values)
     assert np.abs(hat[g.band:]).max() < 1e-12 * np.abs(hat).max()
     # Projection keeps about half the modes, so the sample std sits near
     # sigma/sqrt(2).
-    assert 0.3 * recipe.sigma < phi.values.std() < 1.1 * recipe.sigma
-    assert np.array_equal(phi.values, random_phase_init(recipe, g).values)
-    assert not np.array_equal(phi.values, random_phase_init(InitRecipe(seed=5), g).values)
+    sigma = initial._SIGMA
+    assert 0.3 * sigma < phi.values.std() < 1.1 * sigma
+    assert np.array_equal(phi.values, random_phase_init(g, _rng(4)).values)
+    assert not np.array_equal(phi.values, random_phase_init(g, _rng(5)).values)
 
 
 def test_pre_evolve_reaches_target_band():
     g = Grid(256)
     params = Params()
-    recipe = InitRecipe(seed=7)
-    phi0 = random_phase_init(recipe, g)
-    target = recipe.energy_target_frac * params.e_max
-    assert free_energy(phi0, params) > target + recipe.energy_tol
-    phi = pre_evolve_to_energy(phi0, recipe, params)
-    assert free_energy(phi, params) == pytest.approx(target, abs=recipe.energy_tol)
+    phi0 = random_phase_init(g, _rng(7))
+    target = initial._ENERGY_TARGET_FRAC * params.e_max
+    assert free_energy(phi0, params) > target + initial._ENERGY_TOL
+    phi = pre_evolve_to_energy(phi0, params)
+    assert free_energy(phi, params) == pytest.approx(target, abs=initial._ENERGY_TOL)
 
 
 def test_pre_evolve_in_band_input_passes_through():
     g = Grid(256)
     params = Params()
-    recipe = InitRecipe(seed=7)
-    phi = pre_evolve_to_energy(random_phase_init(recipe, g), recipe, params)
-    assert pre_evolve_to_energy(phi, recipe, params) is phi
+    phi = pre_evolve_to_energy(random_phase_init(g, _rng(7)), params)
+    assert pre_evolve_to_energy(phi, params) is phi
 
 
 def test_pre_evolve_rejects_energy_below_band():
@@ -129,31 +130,20 @@ def test_pre_evolve_rejects_energy_below_band():
     params = Params()
     flat = Field(g, np.full(g.n, params.binodal))
     with pytest.raises(ValueError, match="below the target"):
-        pre_evolve_to_energy(flat, InitRecipe(seed=0), params)
+        pre_evolve_to_energy(flat, params)
 
 
-def test_pre_evolve_step_budget_exhaustion():
+def test_pre_evolve_step_budget_exhaustion(monkeypatch):
     g = Grid(256)
     params = Params()
-    recipe = InitRecipe(seed=7)
-    phi0 = random_phase_init(recipe, g)
+    phi0 = random_phase_init(g, _rng(7))
     e0 = free_energy(phi0, params)
+    monkeypatch.setattr(initial, "_MAX_STEPS", 1)
     with pytest.raises(DtUnderflowError) as info:
-        pre_evolve_to_energy(phi0, recipe, params, max_steps=1)
+        pre_evolve_to_energy(phi0, params)
     assert isinstance(info.value, RuntimeError)
-    target = recipe.energy_target_frac * params.e_max
+    target = initial._ENERGY_TARGET_FRAC * params.e_max
     assert target < info.value.best_energy <= e0
-
-
-def test_init_recipe_validation():
-    with pytest.raises(ValueError):
-        InitRecipe(seed=0, sigma=0.0)
-    with pytest.raises(ValueError):
-        InitRecipe(seed=0, energy_target_frac=1.0)
-    with pytest.raises(ValueError):
-        InitRecipe(seed=0, energy_tol=-1e-4)
-    with pytest.raises(ValueError):
-        InitRecipe(seed=0, fourier_cutoff=0)
 
 
 def test_build_initial_fields_uncoupled():

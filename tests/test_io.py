@@ -15,7 +15,7 @@ from bchsim.io import (
     write_snapshot,
 )
 from bchsim.series import TimeSeries
-from bchsim.solver import RunResult, Snapshot, State
+from bchsim.solver import RunResult, Snapshot
 
 
 def _tiny_result():
@@ -29,8 +29,7 @@ def _tiny_result():
         period=np.array([0.3, 0.31, 0.33]),
     )
     snaps = [Snapshot(0.0, phi, v), Snapshot(0.5, phi, v)]
-    final = State(0.5, phi, v, cfg.params, "advective")
-    return RunResult(cfg, series, snaps, final, True, 1.2e-16)
+    return RunResult(cfg, series, snaps, Snapshot(0.5, phi, v), True, 1.2e-16)
 
 
 def test_run_directory_named_and_timestamped(tmp_path):
@@ -123,14 +122,13 @@ def test_series_csv_round_trip_is_byte_identical(tmp_path):
 
 def test_write_run_contents(tmp_path):
     result = _tiny_result()
-    report = write_run(tmp_path / "r", result, command="simulate", extra={"tag": 7})
+    report = write_run(tmp_path / "r", result, command="simulate")
     assert (tmp_path / "r" / "series.csv").exists()
     assert (tmp_path / "r" / "snap_0.csv").exists()
     assert (tmp_path / "r" / "snap_0.5.csv").exists()
     assert report["command"] == "simulate"
     assert report["coupling"] == "advective"
     assert report["resolution_ok"] is True
-    assert report["tag"] == 7
     assert report["series"]["records"] == 3
     assert report["series"]["t_last"] == 0.5
     assert report["t_final_reached"] == 0.5

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bchsim.predictors as predictors
 from bchsim.energy import energy_of_period
 from bchsim.evans import EigTable
 from bchsim.predictors import (
@@ -29,7 +30,6 @@ def _constant_rate_table(params: Params, rate: float) -> EigTable:
         amplitudes=np.linspace(0.01, 0.99, 50),
         periods=periods,
         lambda_max=np.full(50, rate),
-        kappa=params.kappa,
         params=params,
     )
 
@@ -108,11 +108,12 @@ def test_eig_ode_half_is_time_rescaled_full(params, eig_table):
     assert np.allclose(half["period"], full["period"], rtol=1e-6)
 
 
-def test_eig_ode_step_refinement_converges(params, eig_table):
+def test_eig_ode_step_refinement_converges(monkeypatch, params, eig_table):
     t = np.array([0.0, 50.0, 100.0])
     cfg = PredictorConfig(variant="eig_full", eig_table=eig_table)
-    coarse = eigenvalue_ode_period(t, cfg, params, dp_max=5e-4)
-    fine = eigenvalue_ode_period(t, cfg, params, dp_max=2.5e-4)
+    coarse = eigenvalue_ode_period(t, cfg, params)
+    monkeypatch.setattr(predictors, "_DP_MAX", 0.5 * predictors._DP_MAX)
+    fine = eigenvalue_ode_period(t, cfg, params)
     assert np.max(np.abs(coarse["period"] / fine["period"] - 1.0)) < 1e-6
 
 
@@ -176,8 +177,8 @@ def test_fit_accepts_time_series(params):
     result = fit_pfit(series, params, t_max=15.0)
     assert result.c1 == pytest.approx(2.0, rel=1e-5)
     assert isinstance(result, FitResult)
-    # the result evaluates the fitted law
-    assert np.allclose(result(t), p, rtol=1e-5)
+    # the fitted coefficients reproduce the law
+    assert np.allclose(p_fit(t, result.c1, result.c2, params), p, rtol=1e-5)
 
 
 def test_fit_rejects_degenerate_input(params):
@@ -203,19 +204,10 @@ def test_handshake_finds_spinodal_crossing(params):
     energies = 0.5 - 0.02 * t  # crosses E_SPINODAL near t = 3.9
     hs = handshake(t, energies, params)
     assert isinstance(hs, Handshake)
-    assert energies[hs.index] <= E_SPINODAL
-    assert energies[hs.index - 1] > E_SPINODAL
-    assert hs.t0 == pytest.approx(t[hs.index])
+    (i,) = np.flatnonzero(t == hs.t0)  # t0 is a record time
+    assert energies[i] <= E_SPINODAL
+    assert energies[i - 1] > E_SPINODAL
     assert hs.p0 == pytest.approx(params.p_s)
-
-
-def test_handshake_averages_trials(params):
-    t = np.linspace(0.0, 10.0, 101)
-    trial_a = 0.5 - 0.02 * t
-    trial_b = 0.5 - 0.03 * t
-    hs = handshake(t, np.vstack([trial_a, trial_b]), params)
-    mean = 0.5 * (trial_a + trial_b)
-    assert mean[hs.index] <= E_SPINODAL < mean[hs.index - 1]
 
 
 def test_handshake_requires_crossing(params):

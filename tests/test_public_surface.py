@@ -2,13 +2,16 @@
 
 A name in a submodule's ``__all__`` must be referenced, other than by its
 own definition, in the package, the benchmark harness, the scripts or the
-acceptance tests.  A public name that only its own unit tests read is
+acceptance tests.  So must every method, property and dataclass field of
+a public class.  A public name that only its own unit tests read is
 surface the program does not need.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import bchsim
@@ -86,3 +89,60 @@ def test_every_public_name_is_read_outside_its_unit_tests():
     sources = [(path.read_text(), path.stem if path.parent == PACKAGE else None)
                for path in READERS]
     assert unread(public, sources) == []
+
+
+# members kept although nothing reads them, each with its reason
+UNREAD_MEMBERS_KEPT = {
+    # marks a fault: the table stopped short of e_cap at the last amplitude
+    # distinguishable from the binodal
+    "energy.EnergyPeriodTable.truncated",
+}
+
+
+def members(cls: type) -> list[str]:
+    """The dataclass fields, methods and properties of cls, dunders excepted."""
+    names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+    names += [name for name, value in vars(cls).items()
+              if not (name.startswith("__") and name.endswith("__"))
+              and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))]
+    return names
+
+
+def unread_members(classes: dict[str, list[str]], sources: list[str]) -> list[str]:
+    """The class.member entries of classes that no source loads as an attribute."""
+    loaded = {node.attr for text in sources for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls}.{name}" for cls, names in classes.items() for name in names
+            if name not in loaded]
+
+
+def test_every_public_class_member_is_read_outside_its_unit_tests():
+    # the guard's own control: a field that is only stored, never loaded,
+    # outside a test, and a dunder that nothing reads
+    @dataclasses.dataclass
+    class Planted:
+        read: float
+        test_only: float
+
+        def used(self):
+            return self.read
+
+        def __call__(self):
+            return 0.0
+
+    assert members(Planted) == ["read", "test_only", "used"]
+    caller = "planted.used(planted.read)\nplanted.test_only = 2.0\n"
+    test = "assert planted.test_only == 2.0\n"
+    classes = {"grid.Planted": members(Planted)}
+    assert unread_members(classes, [caller]) == ["grid.Planted.test_only"]
+    assert unread_members(classes, [caller, test]) == []
+
+    classes = {}
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"bchsim.{module_name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, type):
+                classes[f"{module_name}.{name}"] = members(obj)
+    unread = unread_members(classes, [path.read_text() for path in READERS])
+    assert [m for m in unread if m not in UNREAD_MEMBERS_KEPT] == []

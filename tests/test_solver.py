@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from bchsim.config import SolverConfig
+from bchsim.config import COUPLINGS, SolverConfig
 from bchsim.energy import free_energy
 from bchsim.grid import Field, Grid
 from bchsim.solver import (
+    Snapshot,
     SolverError,
-    State,
     Stepper,
     energy_balance_residual,
     resolution_check,
@@ -15,44 +15,27 @@ from bchsim.solver import (
 from bchsim.waves import Params
 
 
-def _uncoupled_state(values, params=None):
+def _uncoupled_state(values):
     g = Grid(len(values))
-    params = params or Params()
-    return State(t=0.0, phi=Field(g, np.asarray(values, dtype=float)), v=None,
-                 params=params, coupling_mode="uncoupled")
+    return Snapshot(t=0.0, phi=Field(g, np.asarray(values, dtype=float)), v=None)
 
 
-def _coupled_state(phi_vals, v_vals, mode, params=None):
+def _coupled_state(phi_vals, v_vals):
     g = Grid(len(phi_vals))
-    params = params or Params()
-    return State(t=0.0, phi=Field(g, np.asarray(phi_vals, dtype=float)),
-                 v=Field(g, np.asarray(v_vals, dtype=float)),
-                 params=params, coupling_mode=mode)
+    return Snapshot(t=0.0, phi=Field(g, np.asarray(phi_vals, dtype=float)),
+                    v=Field(g, np.asarray(v_vals, dtype=float)))
 
 
-def test_state_validation():
-    g = Grid(32)
-    phi = Field(g, np.zeros(32))
-    with pytest.raises(ValueError):
-        State(t=0.0, phi=phi, v=None, params=Params(), coupling_mode="advective")
-    with pytest.raises(ValueError):
-        State(t=0.0, phi=phi, v=Field(g, np.zeros(32)), params=Params(),
-              coupling_mode="uncoupled")
-    with pytest.raises(ValueError):
-        State(t=0.0, phi=phi, v=None, params=Params(), coupling_mode="sideways")
-
-
-def _run_steps(state, dt, n):
-    """The state after n steps of its own Stepper, through band spectra."""
+def _run_steps(state, dt, n, mode="uncoupled"):
+    """The state after n steps of a default-parameter Stepper, through band spectra."""
     grid = state.phi.grid
-    stepper = Stepper(grid, state.params, dt, state.coupling_mode)
+    stepper = Stepper(grid, Params(), dt, mode)
     phi_hat = grid.spectral(state.phi.values)
     v_hat = None if state.v is None else grid.spectral(state.v.values)
     for _ in range(n):
         phi_hat, v_hat = stepper.advance(phi_hat, v_hat)
     v = None if v_hat is None else Field(grid, grid.physical(v_hat))
-    return State(t=state.t + n * dt, phi=Field(grid, grid.physical(phi_hat)), v=v,
-                 params=state.params, coupling_mode=state.coupling_mode)
+    return Snapshot(t=state.t + n * dt, phi=Field(grid, grid.physical(phi_hat)), v=v)
 
 
 def test_zero_state_is_fixed():
@@ -63,7 +46,7 @@ def test_zero_state_is_fixed():
 
 def test_binodal_state_is_fixed():
     params = Params()
-    s = _uncoupled_state(np.full(64, params.binodal), params)
+    s = _uncoupled_state(np.full(64, params.binodal))
     s2 = _run_steps(s, 1e-3, 1)
     assert np.allclose(s2.phi.values, params.binodal, atol=1e-13)
 
@@ -80,14 +63,14 @@ def test_mass_conservation_by_mode():
     phi0 = _noise_band_limited(g, 1)
     v0 = 0.2 * np.sin(np.pi * g.x)
     masses = {}
-    for mode in ("div_form_1", "div_form_2", "advective"):
-        s = _coupled_state(phi0, v0, mode)
+    for mode in ("div1", "div2", "advective"):
+        s = _coupled_state(phi0, v0)
         m0 = s.phi.mean()
-        s = _run_steps(s, 1e-5, 100)
+        s = _run_steps(s, 1e-5, 100, mode)
         masses[mode] = abs(s.phi.mean() - m0)
     # divergence forms conserve the mean exactly; plain advection does not
-    assert masses["div_form_1"] < 1e-15
-    assert masses["div_form_2"] < 1e-15
+    assert masses["div1"] < 1e-15
+    assert masses["div2"] < 1e-15
     assert masses["advective"] > 1e-12
 
 
@@ -100,7 +83,7 @@ def test_uncoupled_mass_conserved():
 
 def test_uncoupled_energy_dissipates():
     params = Params()
-    s = _uncoupled_state(_noise_band_limited(Grid(512), 5), params)
+    s = _uncoupled_state(_noise_band_limited(Grid(512), 5))
     energies = [free_energy(s.phi, params)]
     for _ in range(50):
         s = _run_steps(s, 1e-4, 1)
@@ -112,9 +95,9 @@ def test_uncoupled_energy_dissipates():
 
 def test_cfl_guard_trips():
     g = Grid(256)
-    s = _coupled_state(_noise_band_limited(g, 7), np.full(256, 2.0), "advective")
+    s = _coupled_state(_noise_band_limited(g, 7), np.full(256, 2.0))
     with pytest.raises(SolverError, match="CFL"):
-        _run_steps(s, 2.0 * g.dx, 1)
+        _run_steps(s, 2.0 * g.dx, 1, "advective")
 
 
 def test_uncoupled_ignores_cfl():
@@ -222,7 +205,7 @@ def test_single_mode_growth_rate():
     j = 7
     k = np.pi * j / g.half_length
     eps = 1e-4
-    s = _uncoupled_state(eps * np.cos(k * g.x), params)
+    s = _uncoupled_state(eps * np.cos(k * g.x))
     t_final, dt = 1e-3, 1e-5
     amp0 = abs(np.fft.rfft(s.phi.values)[j])
     s = _run_steps(s, dt, round(t_final / dt))
@@ -250,7 +233,7 @@ def test_run_rejects_snapshot_after_last_step():
         run(cfg)
 
 
-_ALL_MODES = ("uncoupled", "advective", "div_form_1", "div_form_2")
+_ALL_MODES = COUPLINGS
 
 
 def _stepped(advance, width, phi0, v0, steps):
@@ -308,7 +291,7 @@ def _masked_advance(grid, params, dt, mode):
         v, phi_x = phys(v_hat), phys(ik * phi_hat)
         adv_hat = proj(v * phi_x) if mode == "advective" else ik * proj(v * phi)
         mu_hat = p.kappa * k2 * phi_hat + cubic_hat - p.beta * phi_hat
-        if mode == "div_form_2":
+        if mode == "div2":
             source_hat = -p.K * proj(phys(ik * mu_hat) * phi)
         else:
             source_hat = p.K * proj(phys(mu_hat) * phi_x)

@@ -119,6 +119,12 @@ def test_amplitude_of_period_rejects_any_bad_element(bad, params):
         amplitude_of_period(bad, params)
     with pytest.raises(ValueError):
         amplitude_of_period(np.array([0.3, bad, 0.6]), params)
+    # the message names the bad element, not the whole input
+    periods = np.linspace(0.3, 0.6, 201)
+    periods[100] = bad
+    with pytest.raises(ValueError) as info:
+        amplitude_of_period(periods, params)
+    assert len(str(info.value)) < 200
 
 
 def test_sn_is_odd_bitwise():

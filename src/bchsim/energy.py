@@ -2,11 +2,12 @@
 
 The coarseness of a state is read off the window energy of the stationary
 wave family: E(p) is the free energy on [-L, L) of the wave with period p,
-shifted so a zero crossing sits at the origin.  That wave is odd, so E is
-twice a Simpson sum over [-L, 0]; an array of periods is inverted to
-amplitudes in one vectorized bisection.  E decreases from e_max =
-2 L F(0) at the shortest period toward the single-kink energy e_min in a
-staircase whose sharp drops line up with zero crossings leaving the window.
+shifted so a zero crossing sits at the origin.  E is in closed form, from
+the incomplete elliptic integral of the second kind at the window edge;
+an array of periods is inverted to amplitudes in one vectorized
+bisection.  E decreases from e_max = 2 L F(0) at the shortest period
+toward the single-kink energy e_min in a staircase whose sharp drops line
+up with zero crossings leaving the window.
 Because E is not invertible, periods are assigned to energies through the
 infimum pseudoinverse p(e) = inf {p : E(p) <= e}; for time series we use
 the interpolant built on the monotone envelope of the tabulated curve,
@@ -61,30 +62,21 @@ class EnergyScale:
     e_spinodal: float
 
 
-def _window_samples(a: float, params: Params) -> int:
-    # Resolve the transition-layer scale h(a) ~ sqrt(beta/kappa); Simpson
-    # error then sits near (dx*h)^4/180 of the layer contributions.
-    h = math.sqrt((2.0 * params.beta - params.alpha * a * a) / (2.0 * params.kappa))
-    n = max(4096, int(64.0 * h * params.half_length))
-    return 1 << (n - 1).bit_length()
-
-
 def wave_window_energy(a: float, params: Params) -> float:
-    """Free energy on [-L, L) of the amplitude-a wave with phi(0) = 0.
+    """Free energy on [-L, L) of the amplitude-a wave with phi(0) = 0, in closed form.
 
     The first integral (kappa/2) phi_x^2 = F(phi) - F(a) turns the energy
-    density into 2 F(phi) - F(a), so only profile values are integrated and
-    no numerical derivative of a non-periodic window is needed.  The density
-    is even, so Simpson's rule on [-L, L] is twice the rule on [-L, 0].
+    density into 2 F(phi) - F(a), which is even in x, so the energy is
+    4 int_0^L F(phi) - 2 L F(a).  F(a sn) = (alpha/4)(a^2 sn^2 - b^2)^2 with
+    b^2 = beta/alpha, so with u = h L that integral is (alpha/4h)(a^4 S4 -
+    2 a^2 b^2 S2 + b^4 u), S2 and S4 the integrals of sn^2 and sn^4 over
+    [0, u]: WaveProfile.potential_integral takes them from the incomplete
+    elliptic integral of the second kind at u alone, sampling no profile.
     """
     if a == 0.0:
         return params.e_max
-    wave = periodic_wave(a, params)
-    half = _window_samples(a, params) // 2
-    x = np.linspace(-params.half_length, 0.0, half + 1)
-    d = 2.0 * params.f(wave(x)) - params.f(a)
-    simpson_half = d[0] + d[-1] + 4.0 * np.sum(d[1:-1:2]) + 2.0 * np.sum(d[2:-1:2])
-    return float(2.0 * (params.half_length / half) / 3.0 * simpson_half)
+    length = params.half_length
+    return 4.0 * periodic_wave(a, params).potential_integral(length) - 2.0 * length * params.f(a)
 
 
 def energy_of_period(p, params: Params):
@@ -129,6 +121,10 @@ def plateau_slope_bound(a: float, params: Params) -> float:
 _GAP_FRACTION = 1.0 / 200.0
 _CAP_FRACTION = 1e-4
 _MAX_NODES = 4000
+# The envelope keeps a row only where it drops by more than this, relatively:
+# far above the few to few hundred ulps between neighbours on the flat steps
+# of E(p), so one ulp of rounding cannot add or drop a row there.
+_ENVELOPE_RTOL = 1e-12
 
 
 @dataclass
@@ -165,16 +161,16 @@ class EnergyPeriodTable:
         def a_of(u: float) -> float:
             return binodal * (-math.expm1(u))
 
-        us = [u_of(binodal * s) for s in np.linspace(0.005, 0.99, 120)]
+        nodes = [(u, wave_window_energy(a_of(u), params))
+                 for u in (u_of(binodal * s) for s in np.linspace(0.005, 0.99, 120))]
         truncated = True
         for m in np.arange(2.25, 15.6, 0.25):
             u = math.log(10.0) * (-m)
-            us.append(u)
-            if wave_window_energy(a_of(u), params) <= e_cap:
+            nodes.append((u, wave_window_energy(a_of(u), params)))
+            if nodes[-1][1] <= e_cap:
                 truncated = False
                 break
 
-        nodes = [(u, wave_window_energy(a_of(u), params)) for u in us]
         gap = _GAP_FRACTION * (e_max - e_min)
         # Leading cell against the analytic (p_min, e_max) row.
         while len(nodes) < _MAX_NODES:
@@ -204,7 +200,7 @@ class EnergyPeriodTable:
         env = np.minimum.accumulate(energies)
         keep = np.empty(env.size, dtype=bool)
         keep[0] = True
-        keep[1:] = env[1:] < env[:-1]
+        keep[1:] = env[1:] < env[:-1] * (1.0 - _ENVELOPE_RTOL)
         return cls(
             params=params,
             amplitudes=amps,

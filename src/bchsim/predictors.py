@@ -143,9 +143,8 @@ def _integrate_rate_ode(times: np.ndarray, table: EigTable, p0: float, t0: float
     p, t_cur = float(p0), float(t0)
     for i, t_next in enumerate(times):
         while t_next - t_cur > 1e-14 * max(1.0, abs(t_next)):
-            r = rate(p)
-            h = t_next - t_cur if r <= 0 else min(t_next - t_cur, dp_cap(p) / r)
             k1 = rate(p)
+            h = t_next - t_cur if k1 <= 0 else min(t_next - t_cur, dp_cap(p) / k1)
             k2 = rate(p + 0.5 * h * k1)
             k3 = rate(p + 0.5 * h * k2)
             k4 = rate(p + h * k3)

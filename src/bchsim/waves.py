@@ -127,45 +127,32 @@ def _agm(b):
 
 
 def sn_cn_dn(u, k: float, *, complement: float | None = None):
-    """Jacobi sn, cn, dn at argument u (scalar or array) and modulus k.
-
-    sn = sin phi_0, cn = cos phi_0 and dn = cos phi_0 / cos(phi_1 - phi_0)
-    with phi_0, phi_1 from the descending Landen recursion (_landen_fold).
-    """
+    """Jacobi sn, cn, dn at argument u (scalar or array) and modulus k."""
     u = np.asarray(u, dtype=float)
     if complement is None:
         if not 0.0 <= k <= 1.0:
             raise ValueError(f"modulus must lie in [0, 1], got {k}")
         complement = math.sqrt((1.0 - k) * (1.0 + k))
-    if complement < 1e-12:
-        sn = np.tanh(u)
-        cn = 1.0 / np.cosh(u)
-        return sn, cn, cn.copy()
     if k < 1e-12:
-        sn = np.sin(u)
-        cn = np.cos(u)
-        return sn, cn, np.ones_like(u)
-    phi, phi_prev = _landen_fold(u, k, complement)
-    cn = np.cos(phi)
-    return np.sin(phi), cn, cn / np.cos(phi_prev - phi)
+        return np.sin(u), np.cos(u), np.ones_like(u)
+    return _landen_fold(u, k, complement)[:3]
 
 
-def _sn(u: np.ndarray, k: float, complement: float) -> np.ndarray:
-    """sn alone, bit-identical to the sn of sn_cn_dn, for valid k and complement."""
-    if complement < 1e-12:
-        return np.tanh(u)
-    if k < 1e-12:
-        return np.sin(u)
-    return np.sin(_landen_fold(u, k, complement)[0])
-
-
-def _landen_fold(u: np.ndarray, k: float, complement: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi amplitude phi_0 = am(u, k) and the Landen angle phi_1 above it.
+def _landen_fold(u, k: float, complement: float):
+    """sn, cn, dn at u and u - E(am u, k), E the second kind integral, for k >= 1e-12.
 
     Descending Landen recursion: run the AGM on (1, k'), set
     phi_N = 2^N a_N u, then fold back through
-    phi_{n-1} = (phi_n + asin(c_n/a_n sin phi_n))/2.
+    phi_{n-1} = (phi_n + asin(c_n/a_n sin phi_n))/2 to phi_0 = am(u, k).
+    sn = sin phi_0, cn = cos phi_0, and dn = sqrt(k'^2 + k^2 cn^2) stays
+    accurate where cn is near zero.  Abramowitz & Stegun 17.6 gives u - E in
+    a form that does not cancel at small k:
+    u - E = (u/2) sum_{n>=0} 2^n c_n^2 - sum_{n>=1} c_n sin phi_n.
+    Below k' = 1e-12 these are the k = 1 limits tanh, sech, sech, u - tanh.
     """
+    if complement < 1e-12:
+        sn, cn = np.tanh(u), 1.0 / np.cosh(u)
+        return sn, cn, cn.copy(), u - sn
     a, b = 1.0, complement
     a_list, c_list = [1.0], [k]
     while len(a_list) < 64:
@@ -178,13 +165,15 @@ def _landen_fold(u: np.ndarray, k: float, complement: float) -> tuple[np.ndarray
             break
     n = len(a_list) - 1
     phi = (2.0**n) * a_list[n] * u
-    phi_prev = phi
+    c_sin = 0.0
     for i in range(n, 0, -1):
+        sin_phi = np.sin(phi)
+        c_sin = c_sin + c_list[i] * sin_phi
         # |c_n| <= a_n in floating point too, so the arcsin argument needs no clip
-        s = c_list[i] / a_list[i] * np.sin(phi)
-        phi_prev = phi
-        phi = 0.5 * (phi + np.arcsin(s))
-    return phi, phi_prev
+        phi = 0.5 * (phi + np.arcsin(c_list[i] / a_list[i] * sin_phi))
+    s = 0.5 * sum((2.0**i) * c * c for i, c in reversed(list(enumerate(c_list))))
+    cn = np.cos(phi)
+    return np.sin(phi), cn, np.sqrt(complement * complement + k * k * cn * cn), u * s - c_sin
 
 
 def _modulus(a, params: Params):
@@ -214,9 +203,6 @@ class WaveProfile:
     def period(self) -> float:
         return period_of_amplitude(self.amplitude, self.params)
 
-    def __call__(self, x):
-        return self.amplitude * _sn(np.asarray(x, dtype=float) * self.scale, self.modulus, self.complement)
-
     def with_derivatives(self, x):
         """Return (phi, phi_x, phi_xx) sampled at x, all in closed form.
 
@@ -229,6 +215,25 @@ class WaveProfile:
         phi_x = self.amplitude * self.scale * cn * dn
         phi_xx = self.params.df(phi) / self.params.kappa
         return phi, phi_x, phi_xx
+
+    def potential_integral(self, x: float) -> float:
+        """int_0^x F(phi) in closed form, for scalar x.
+
+        With u = h x: int_0^u sn^2 = (u - E(am u, k))/k^2, u - E from
+        _landen_fold, and 3 k^2 int_0^u sn^4 = 2 (1 + k^2) int_0^u sn^2 - u
+        + sn cn dn(u); below k = 1e-12, the integrals of sin^2 and sin^4.
+        """
+        u, k = x * self.scale, self.modulus
+        if k < 1e-12:
+            s2 = 0.5 * u - 0.25 * math.sin(2.0 * u)
+            s4 = 0.375 * u - 0.25 * math.sin(2.0 * u) + math.sin(4.0 * u) / 32.0
+        else:
+            sn, cn, dn, deficit = _landen_fold(u, k, self.complement)
+            s2 = deficit / (k * k)
+            s4 = (2.0 * (1.0 + k * k) * s2 - u + sn * cn * dn) / (3.0 * k * k)
+        a2 = self.amplitude * self.amplitude
+        b2 = self.params.beta / self.params.alpha
+        return self.params.alpha / (4.0 * self.scale) * (a2 * a2 * s4 - 2.0 * a2 * b2 * s2 + b2 * b2 * u)
 
 
 def periodic_wave(a: float, params: Params) -> WaveProfile:

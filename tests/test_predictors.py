@@ -117,6 +117,48 @@ def test_eig_ode_step_refinement_converges(monkeypatch, params, eig_table):
     assert np.max(np.abs(coarse["period"] / fine["period"] - 1.0)) < 1e-6
 
 
+def _rk4_with_separate_step_lookup(times, table, p0, t0, factor):
+    """The rate-ODE loop that looks lambda up once for the step size and
+    again for k1; returns the series and the number of steps."""
+    spacing = np.diff(table.periods)
+
+    def rate(p):
+        return factor * float(table.lambda_of_period(p)) * p
+
+    def dp_cap(p):
+        i = min(max(int(np.searchsorted(table.periods, p)) - 1, 0), spacing.size - 1)
+        return float(np.clip(spacing[i], 1e-4, predictors._DP_MAX))
+
+    out, p, t_cur, steps = [], float(p0), float(t0), 0
+    for t_next in times:
+        while t_next - t_cur > 1e-14 * max(1.0, abs(t_next)):
+            r = rate(p)
+            h = t_next - t_cur if r <= 0 else min(t_next - t_cur, dp_cap(p) / r)
+            k1 = rate(p)
+            k2 = rate(p + 0.5 * h * k1)
+            k3 = rate(p + 0.5 * h * k2)
+            k4 = rate(p + h * k3)
+            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_cur += h
+            steps += 1
+        out.append(p)
+    return np.array(out), steps
+
+
+def test_eig_ode_looks_lambda_up_four_times_per_step(monkeypatch, params, eig_table):
+    t = np.linspace(0.0, 100.0, 201)
+    cfg = PredictorConfig(variant="eig_full", eig_table=eig_table)
+    expected, steps = _rk4_with_separate_step_lookup(
+        t, eig_table, cfg.start_period(params), cfg.t0, cfg.factor)
+    calls = []
+    lookup = EigTable.lambda_of_period
+    monkeypatch.setattr(EigTable, "lambda_of_period",
+                        lambda self, p: calls.append(p) or lookup(self, p))
+    got = eigenvalue_ode_period(t, cfg, params)["period"]
+    assert np.array_equal(got, expected)
+    assert len(calls) == 4 * steps
+
+
 def test_eig_ode_rejects_bad_grids(params, eig_table):
     cfg = PredictorConfig(t0=1.0, variant="eig_full", eig_table=eig_table)
     with pytest.raises(ValueError):

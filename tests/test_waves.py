@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from bchsim.waves import Params, amplitude_of_period, period_of_amplitude, periodic_wave, sn_cn_dn
+from bchsim.waves import (
+    Params,
+    WaveProfile,
+    amplitude_of_period,
+    period_of_amplitude,
+    periodic_wave,
+    sn_cn_dn,
+)
 
 # Landmark values for alpha = beta = 1, kappa = 1e-3, L = 1.
 P_MIN = 0.198691765315922
@@ -35,6 +42,7 @@ def quarter_period_quadrature(a: float, params: Params) -> float:
 
 
 @given(u=st.floats(-8.0, 8.0), k=st.floats(0.0, 0.999))
+@example(u=5.283734860544659, k=0.61328125)
 @settings(max_examples=60, deadline=None)
 def test_jacobi_identities(u, k):
     sn, cn, dn = sn_cn_dn(u, k)
@@ -128,8 +136,9 @@ def test_amplitude_of_period_rejects_any_bad_element(bad, params):
 
 
 def test_sn_is_odd_bitwise():
-    # wave_window_energy folds the window onto [-L, 0], which needs the
-    # profile a sn(h x) to be exactly odd in x
+    # sn is odd and cn, dn are even in u bit for bit, not only to rounding,
+    # so a wave sampled on a grid symmetric about 0 is exactly odd and its
+    # slope a h cn dn exactly even
     u = np.linspace(-60.0, 60.0, 4001)
     for k, complement in [(0.0, None), (1e-13, None), (0.3, None), (0.9, None),
                           (math.sqrt(1.0 - 1e-14), 1e-7)]:
@@ -145,12 +154,15 @@ def test_wave_profile_shape(params):
     wave = periodic_wave(a, params)
     p = wave.period
     x = np.linspace(-p, p, 2001)
-    phi = wave(x)
+    def profile(x):
+        return wave.with_derivatives(x)[0]
+
+    phi = profile(x)
     assert np.max(np.abs(phi)) == pytest.approx(a, rel=1e-9)
-    assert wave(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert profile(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
     # odd symmetry and periodicity
-    assert np.allclose(wave(-x), -phi, atol=1e-10)
-    assert np.allclose(wave(x + p), phi, atol=1e-9)
+    assert np.allclose(profile(-x), -phi, atol=1e-10)
+    assert np.allclose(profile(x + p), phi, atol=1e-9)
 
 
 def test_wave_satisfies_profile_equation(params):
@@ -159,7 +171,7 @@ def test_wave_satisfies_profile_equation(params):
     wave = periodic_wave(a, params)
     x = np.linspace(0.0, wave.period, 4001)
     h = x[1] - x[0]
-    phi = wave(x)
+    phi = wave.with_derivatives(x)[0]
     lap = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / h**2
     residual = params.kappa * lap - params.df(phi[1:-1])
     assert np.max(np.abs(residual)) < 5e-4 * np.max(np.abs(params.df(phi)))
@@ -171,18 +183,26 @@ def test_wave_derivatives_consistent(params):
     x = np.linspace(0.0, wave.period, 101)
     phi, phi_x, phi_xx = wave.with_derivatives(x)
     h = 1e-7
-    fd_x = (wave(x + h) - wave(x - h)) / (2 * h)
+    fd_x = (wave.with_derivatives(x + h)[0] - wave.with_derivatives(x - h)[0]) / (2 * h)
     assert np.allclose(phi_x, fd_x, rtol=1e-5, atol=1e-5 * np.max(np.abs(phi_x)))
     assert np.allclose(params.kappa * phi_xx, params.df(phi), rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("a", [1e-12, 0.3, 0.9, 1.0 - 1e-14])
-def test_wave_is_bitwise_the_profile_of_with_derivatives(a, params):
-    # wave energies take the profile alone, without cn and dn; it must be
-    # the same phi that the Evans coefficients take from with_derivatives
-    wave = periodic_wave(a, params)
-    x = np.linspace(-1.0, 1.0, 2049)
-    assert np.array_equal(wave(x), wave.with_derivatives(x)[0])
+@pytest.mark.parametrize("modulus,complement", [(0.0, 1.0), (1e-13, 1.0), (0.6, 0.8),
+                                                (0.999, math.sqrt(0.001 * 1.999)), (1.0, 0.0)])
+def test_potential_integral_matches_quadrature(modulus, complement, params):
+    # the general elliptic form and its sin (k < 1e-12) and tanh
+    # (k' < 1e-12) limits, against quadrature of F(a sn(h x)) from ellipj
+    wave = WaveProfile(amplitude=0.7, modulus=modulus, complement=complement, scale=20.0,
+                       params=params)
+    m = 1.0 - complement**2
+
+    def density(x):
+        return params.f(wave.amplitude * ellipj(wave.scale * x, m)[0])
+
+    for x in (0.05, 0.3, 1.0):
+        oracle, _ = quad(density, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert wave.potential_integral(x) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_kink_energy_values(params):

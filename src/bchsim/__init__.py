@@ -12,7 +12,7 @@ from .config import SolverConfig, parse_config, parse_config_file
 from .energy import EnergyPeriodTable, energy_of_period, free_energy, period_from_energy
 from .evans import EigTable, build_eig_table, leading_eigenvalue, monodromy
 from .grid import Field, Grid
-from .predictors import PredictorConfig, fit_pfit, handshake, langer_period, p_fit
+from .predictors import fit_pfit, handshake, p_fit
 from .series import TimeSeries
 from .solver import RunResult, Stepper, run
 from .waves import Params, periodic_wave
@@ -33,10 +33,8 @@ __all__ = [
     "monodromy",
     "Field",
     "Grid",
-    "PredictorConfig",
     "fit_pfit",
     "handshake",
-    "langer_period",
     "p_fit",
     "TimeSeries",
     "RunResult",

@@ -27,7 +27,7 @@ from .ensemble import compare_coupled, run_ensemble
 from .evans import EigTable, build_eig_table, default_amplitudes, half_map_steps
 from .grid import Field
 from .initial import read_file_fields
-from .predictors import PredictorConfig, fit_pfit, fit_window, predicted_energy_curve
+from .predictors import fit_pfit, fit_window, predicted_energy_curve
 from .series import TimeSeries
 from .solver import run
 from .waves import Params, period_of_amplitude, periodic_wave
@@ -238,11 +238,10 @@ def _cmd_ensemble(args) -> int:
         name = f"trial_{i:02d}.csv"
         series.to_csv(out / name)
         paths.append(name)
-    report.trial_paths = paths
     TimeSeries(t=report.times, free_energy=report.mean_free_energy,
                period=report.mean_period).to_csv(out / "mean.csv")
     payload = report.summary()
-    payload.update({"command": "ensemble", "mean_series": "mean.csv"})
+    payload.update({"command": "ensemble", "mean_series": "mean.csv", "trial_series": paths})
     if report.overlays is not None:
         report.overlays.to_csv(out / "overlays.csv")
         payload["overlays"] = "overlays.csv"
@@ -270,15 +269,15 @@ def _cmd_predict(args) -> int:
     if args.method == "eig":
         table = (_read("table", EigTable.from_csv, args.table, params)
                  if args.table is not None else build_eig_table(params))
-    pcfg = PredictorConfig(p0=args.p0, t0=args.t0, variant=variant, eig_table=table)
+    p0 = params.p_s if args.p0 is None else args.p0
     grid = np.linspace(args.t0, args.t_max, args.samples)
-    curve = predicted_energy_curve(grid, pcfg, params)
+    curve = predicted_energy_curve(grid, params, variant, p0, t0=args.t0, eig_table=table)
     out = _out_dir(args, "predict", None)
     _echo_config(out, cfg)
     curve.to_csv(out / "series.csv")
     runio.write_report(out, {
         "command": "predict", "method": args.method, "variant": variant,
-        "p0": float(pcfg.start_period(params)), "t0": float(args.t0),
+        "p0": float(p0), "t0": float(args.t0),
         "t_max": float(args.t_max), "samples": int(args.samples),
         "kappa": float(params.kappa), "series": "series.csv",
     })

@@ -21,7 +21,6 @@ COUPLINGS = ("uncoupled", "advective", "div1", "div2")
 
 _INT_KEYS = {"n", "record_every", "seed", "fourier_cutoff"}
 _FLOAT_KEYS = {"L", "alpha", "beta", "kappa", "nu", "K", "dt", "t_final", "stabilizer_A"}
-_STR_KEYS = {"coupling", "init_phi", "init_v", "out_dir"}
 
 
 @dataclass
@@ -82,6 +81,9 @@ class SolverConfig:
             raise ValueError(f"fourier_cutoff {self.fourier_cutoff} must stay below "
                              f"n/4 = {self.n_eff // 4}")
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
+        for t in self.snapshot_times:
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"snapshot_times must be finite and nonnegative, got {t}")
 
     @property
     def coupled(self) -> bool:

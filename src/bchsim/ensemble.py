@@ -11,7 +11,7 @@ the exception that ended it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .predictors import (
     VARIANTS,
     FitResult,
     Handshake,
-    PredictorConfig,
     fit_pfit,
     handshake,
     predicted_energy_curve,
@@ -53,7 +52,6 @@ class EnsembleReport:
     mean_period: np.ndarray
     handshake: Handshake | None = None
     overlays: TimeSeries | None = None
-    trial_paths: list[str | None] = field(default_factory=list)
 
     @property
     def partial(self) -> bool:
@@ -73,8 +71,6 @@ class EnsembleReport:
             "final_mean_free_energy": float(self.mean_free_energy[-1]),
             "final_mean_period": float(self.mean_period[-1]),
         }
-        if self.trial_paths:
-            out["trial_series"] = list(self.trial_paths)
         if self.handshake is not None:
             out["handshake_t0"] = float(self.handshake.t0)
             out["handshake_p0"] = float(self.handshake.p0)
@@ -105,9 +101,8 @@ def _overlay_series(times: np.ndarray, hs: Handshake, params: Params,
     cols: dict[str, np.ndarray] = {"t": times}
     live = times >= hs.t0
     for variant in VARIANTS:
-        cfg = PredictorConfig(p0=hs.p0, t0=hs.t0, variant=variant,
-                              eig_table=None if variant == "langer" else table)
-        curve = predicted_energy_curve(times[live], cfg, params)
+        curve = predicted_energy_curve(times[live], params, variant, hs.p0, t0=hs.t0,
+                                       eig_table=table)
         for name in ("period", "energy"):
             full = np.full(times.shape, math.nan)
             full[live] = curve[name]

@@ -83,6 +83,8 @@ def read_field(path, column: str, grid: Grid | None = None) -> Field:
     if column not in table:
         raise ValueError(f"{path}: no column {column!r} in header {list(table.names)}")
     x = table["x"]
+    if x.size == 0:
+        raise ValueError(f"{path}: no rows below the header")
     if grid is None:
         grid = Grid(x.size, -float(x[0]))
     elif x.size != grid.n:

@@ -8,10 +8,11 @@ settled onto the slow wave-to-wave drift:
   tabulated leading eigenvalue of the linearization,
 * a two-parameter deformation of the closed form fitted to measured data.
 
-Predictions are anchored at (t0, p0).  The default anchoring takes p0 at
-the marginally stable period p_s with t0 the time an ensemble's mean free
-energy first reaches the corresponding energy (see handshake); starting
-from (0, p_min) instead gives the fastest admissible coarsening curve.
+predicted_energy_curve starts each curve at a given (t0, p0).  Ensemble
+overlays take p0 = p_s, the marginally stable period, at the time t0 the
+mean free energy first reaches the corresponding energy (see handshake);
+``bchsim predict`` starts from (0, p_s) unless told otherwise, and
+(0, p_min) gives the fastest admissible coarsening curve.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ from .waves import Params
 
 __all__ = [
     "VARIANTS",
-    "PredictorConfig",
-    "langer_period",
     "p_fit",
-    "eigenvalue_ode_period",
-    "predict_periods",
     "predicted_energy_curve",
     "FitResult",
     "fit_window",
@@ -51,37 +48,6 @@ _DP_MAX = 5e-4
 _STARTS = ((1.0, 1.0), (5.0, 5.0))
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
-    """Which predictor to run and where it starts.
-
-    p0 = None defers to the marginally stable period of the params in use.
-    """
-
-    p0: float | None = None
-    t0: float = 0.0
-    variant: str = "langer"
-    eig_table: EigTable | None = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.t0 < 0:
-            raise ValueError("t0 must be nonnegative")
-        if self.variant != "langer" and self.eig_table is None:
-            raise ValueError(f"variant {self.variant!r} needs an eig_table")
-
-    @property
-    def factor(self) -> float:
-        return 0.5 if self.variant == "eig_half" else 1.0
-
-    def start_period(self, params: Params) -> float:
-        p0 = params.p_s if self.p0 is None else float(self.p0)
-        if p0 < params.p_min:
-            raise ValueError(f"p0 = {p0} is below the shortest admissible period {params.p_min}")
-        return p0
-
-
 def _interaction_scale(params: Params) -> float:
     """Length scale sqrt(2 kappa / beta) of the kink tail overlap."""
     return math.sqrt(2.0 * params.kappa / params.beta)
@@ -92,17 +58,12 @@ def _check_times(t: np.ndarray, t0: float) -> None:
         raise ValueError(f"times must not precede t0 = {t0}")
 
 
-def langer_period(t, params: Params, p0: float | None = None, t0: float = 0.0):
-    """Logarithmic spacing law p(t) = p0 + ell ln(1 + r (t - t0) e^{-p0/ell})
-    with ell = sqrt(2 kappa / beta) and r = 16 beta^2 / kappa."""
-    return p_fit(t, 1.0, 1.0, params, p0=p0, t0=t0)
-
-
 def p_fit(t, c1: float, c2: float, params: Params, p0: float | None = None, t0: float = 0.0):
-    """Two-parameter deformation of the logarithmic law.
+    """Two-parameter deformation of the logarithmic spacing law.
 
-    c1 scales the logarithmic slope, c2 rescales time; c1 = c2 = 1 recovers
-    langer_period exactly.
+    c1 = c2 = 1 is the law itself, p(t) = p0 + ell ln(1 + r (t - t0) e^{-p0/ell})
+    with ell = sqrt(2 kappa / beta) and r = 16 beta^2 / kappa; c1 scales the
+    logarithmic slope and c2 rescales time.  p0 = None starts from p_s.
     """
     if p0 is None:
         p0 = params.p_s
@@ -154,38 +115,36 @@ def _integrate_rate_ode(times: np.ndarray, table: EigTable, p0: float, t0: float
     return out
 
 
-def eigenvalue_ode_period(t_grid, cfg: PredictorConfig, params: Params) -> TimeSeries:
-    """Spacing growth from dp/dt = factor * lambda_max(p) * p.
+def predicted_energy_curve(t_grid, params: Params, variant: str, p0: float,
+                           t0: float = 0.0, eig_table: EigTable | None = None) -> TimeSeries:
+    """The (t, period, energy) curve of one predictor started at (t0, p0).
 
-    lambda_max(p) interpolates cfg.eig_table; factor is 1 for eig_full and
-    1/2 for eig_half.  A period beyond the table span clamps the rate to
-    the last tabulated value and warns once.
+    "langer" is the logarithmic law, p_fit with c1 = c2 = 1.  "eig_full"
+    and "eig_half" integrate dp/dt = factor * lambda_max(p) * p with factor
+    1 and 1/2, lambda_max(p) interpolating eig_table; a period beyond the
+    table span clamps the rate to the last tabulated value and warns once.
+    The energy is the wave energy per unit length at each period.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant != "langer" and eig_table is None:
+        raise ValueError(f"variant {variant!r} needs an eig_table")
+    if t0 < 0:
+        raise ValueError("t0 must be nonnegative")
+    if p0 < params.p_min:
+        raise ValueError(f"p0 = {p0} is below the shortest admissible period {params.p_min}")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
     if np.any(np.diff(t) < 0):
         raise ValueError("t_grid must be nondecreasing")
-    _check_times(t, cfg.t0)
-    p0 = cfg.start_period(params)
-    periods = _integrate_rate_ode(t, cfg.eig_table, p0, cfg.t0, cfg.factor)
-    return TimeSeries(t=t, period=periods)
-
-
-def predict_periods(t_grid, cfg: PredictorConfig, params: Params) -> TimeSeries:
-    """Run the predictor cfg selects and return its (t, period) series."""
-    if cfg.variant == "langer":
-        t = np.asarray(t_grid, dtype=float)
-        p0 = cfg.start_period(params)
-        return TimeSeries(t=t, period=langer_period(t, params, p0=p0, t0=cfg.t0))
-    return eigenvalue_ode_period(t_grid, cfg, params)
-
-
-def predicted_energy_curve(t_grid, cfg: PredictorConfig, params: Params) -> TimeSeries:
-    """Compose the period predictor with the wave energy per unit length."""
-    series = predict_periods(t_grid, cfg, params)
-    return TimeSeries(t=series["t"], period=series["period"],
-                      energy=energy_of_period(series["period"], params))
+    _check_times(t, t0)
+    if variant == "langer":
+        periods = p_fit(t, 1.0, 1.0, params, p0=p0, t0=t0)
+    else:
+        factor = 0.5 if variant == "eig_half" else 1.0
+        periods = _integrate_rate_ode(t, eig_table, p0, t0, factor)
+    return TimeSeries(t=t, period=periods, energy=energy_of_period(periods, params))
 
 
 @dataclass(frozen=True)
@@ -201,10 +160,13 @@ def fit_window(series, t_max: float = 20.0, t0: float = 0.0) -> tuple[np.ndarray
     """The (t, period) samples of series with max(t0, 0) < t <= t_max.
 
     series is a TimeSeries with t and period columns, or a (times, periods)
-    pair.  Raises ValueError when fewer than 3 samples fall in the window or
-    any of them is not finite.
+    pair.  Raises ValueError when a column is missing, fewer than 3 samples
+    fall in the window or any of them is not finite.
     """
     if isinstance(series, TimeSeries):
+        for name in ("t", "period"):
+            if name not in series:
+                raise ValueError(f"no column {name!r} in header {list(series.names)}")
         times, periods = series["t"], series["period"]
     else:
         times, periods = series

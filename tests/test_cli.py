@@ -102,6 +102,14 @@ def test_fit_non_finite_series_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+def test_fit_series_without_a_period_column_exits_one(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    TimeSeries(amplitude=np.linspace(0.1, 0.9, 9), period=np.linspace(0.2, 1.0, 9)).to_csv(path)
+    assert main(["fit", "--series", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"bad series {path}: no column 't' in header ['amplitude', 'period']" in err
+
+
 def test_ensemble_writes_trials_and_mean(tmp_path, fast_config):
     code = main(["ensemble", "--config", str(fast_config), "--trials", "2",
                  "--no-overlays", "--out", str(tmp_path / "o"), "--name", "e"])
@@ -181,6 +189,9 @@ def test_usage_errors_exit_one(tmp_path, fast_config):
     ({"coupling": "advective", "init_v": "fourier", "fourier_cutoff": "20"}, "fourier_cutoff"),
     ({"L": "-1"}, "L"),
     ({"stabilizer_A": "-1"}, "stabilizer_A"),
+    ({"snapshot_times": "nan, -1"}, "snapshot_times"),
+    ({"snapshot_times": "-1"}, "snapshot_times"),
+    ({"snapshot_times": "inf"}, "snapshot_times"),
 ])
 def test_bad_config_value_exits_one_before_the_run(overrides, key, tmp_path, capsys):
     values = {"coupling": "uncoupled", "n": "64", "t_final": "0.01", "dt": "1e-3"}
@@ -239,6 +250,9 @@ def test_measure_rejects_irregular_snapshots(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("x,phi,v\n-1.0,0.0,0.0\n0.0,0.0\n")
     assert main(["measure", "--snapshot", str(ragged)]) == 1
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("x,phi\n")
+    assert main(["measure", "--snapshot", str(header_only)]) == 1
     g = Grid(64)
     phi = 0.1 * np.sin(np.pi * g.x)
     phi[5] = np.nan

@@ -9,13 +9,9 @@ from bchsim.evans import EigTable
 from bchsim.predictors import (
     FitResult,
     Handshake,
-    PredictorConfig,
-    eigenvalue_ode_period,
     fit_pfit,
     handshake,
-    langer_period,
     p_fit,
-    predict_periods,
     predicted_energy_curve,
 )
 from bchsim.series import TimeSeries
@@ -34,8 +30,12 @@ def _constant_rate_table(params: Params, rate: float) -> EigTable:
     )
 
 
+def _periods(t, params, variant, p0, t0=0.0, eig_table=None):
+    return predicted_energy_curve(t, params, variant, p0, t0=t0, eig_table=eig_table)["period"]
+
+
 def test_langer_starts_at_p0(params):
-    assert float(langer_period(np.array([2.0]), params, p0=0.5, t0=2.0)[0]) == 0.5
+    assert float(_periods(np.array([2.0]), params, "langer", 0.5, t0=2.0)[0]) == 0.5
 
 
 def test_langer_initial_slope(params):
@@ -45,32 +45,31 @@ def test_langer_initial_slope(params):
     r = 16.0 * params.beta**2 / params.kappa
     expected = ell * r * math.exp(-p0 / ell)
     h = 1e-9
-    vals = langer_period(np.array([t0, t0 + h]), params, p0=p0, t0=t0)
+    vals = _periods(np.array([t0, t0 + h]), params, "langer", p0, t0=t0)
     assert (vals[1] - vals[0]) / h == pytest.approx(expected, rel=1e-4)
 
 
 def test_langer_landmark_value(params):
     # starting from the spinodal period at t0 = 0
-    val = float(langer_period(np.array([100.0]), params)[0])
+    val = float(_periods(np.array([100.0]), params, "langer", params.p_s)[0])
     assert val == pytest.approx(0.638882581265463, rel=1e-12)
 
 
 def test_langer_monotone_and_concave(params):
     t = np.linspace(0.0, 50.0, 400)
-    p = langer_period(t, params)
+    p = _periods(t, params, "langer", params.p_s)
     assert np.all(np.diff(p) > 0)
     assert np.all(np.diff(p, 2) < 1e-12)
 
 
 def test_langer_rejects_early_times(params):
     with pytest.raises(ValueError):
-        langer_period(np.array([0.5]), params, t0=1.0)
+        _periods(np.array([0.5]), params, "langer", params.p_s, t0=1.0)
 
 
-def test_p_fit_reduces_to_langer(params):
-    t = np.linspace(0.0, 30.0, 100)
-    assert np.allclose(p_fit(t, 1.0, 1.0, params), langer_period(t, params),
-                       rtol=1e-14, atol=1e-14)
+def test_langer_rejects_a_decreasing_grid(params):
+    with pytest.raises(ValueError, match="nondecreasing"):
+        _periods(np.array([2.0, 1.0]), params, "langer", params.p_s)
 
 
 def test_p_fit_rejects_early_times(params):
@@ -84,37 +83,28 @@ def test_eig_ode_constant_rate_closed_form(params):
     rate = 0.05
     table = _constant_rate_table(params, rate)
     t = np.linspace(1.0, 21.0, 11)
-    cfg = PredictorConfig(p0=0.3, t0=1.0, variant="eig_full", eig_table=table)
-    got = eigenvalue_ode_period(t, cfg, params)
-    expected = 0.3 * np.exp(rate * (t - 1.0))
-    assert np.allclose(got["period"], expected, rtol=1e-7)
-
-    cfg_half = PredictorConfig(p0=0.3, t0=1.0, variant="eig_half", eig_table=table)
-    got_half = eigenvalue_ode_period(t, cfg_half, params)
-    assert np.allclose(got_half["period"], 0.3 * np.exp(0.5 * rate * (t - 1.0)),
-                       rtol=1e-7)
+    got = _periods(t, params, "eig_full", 0.3, t0=1.0, eig_table=table)
+    assert np.allclose(got, 0.3 * np.exp(rate * (t - 1.0)), rtol=1e-7)
+    got_half = _periods(t, params, "eig_half", 0.3, t0=1.0, eig_table=table)
+    assert np.allclose(got_half, 0.3 * np.exp(0.5 * rate * (t - 1.0)), rtol=1e-7)
 
 
 def test_eig_ode_half_is_time_rescaled_full(params, eig_table):
     # p_half(t0 + 2 Delta) = p_full(t0 + Delta) exactly
     t0 = 1.0
     deltas = np.array([0.0, 5.0, 20.0, 60.0])
-    full = eigenvalue_ode_period(
-        t0 + deltas,
-        PredictorConfig(t0=t0, variant="eig_full", eig_table=eig_table), Params())
-    half = eigenvalue_ode_period(
-        t0 + 2.0 * deltas,
-        PredictorConfig(t0=t0, variant="eig_half", eig_table=eig_table), Params())
-    assert np.allclose(half["period"], full["period"], rtol=1e-6)
+    full = _periods(t0 + deltas, params, "eig_full", params.p_s, t0=t0, eig_table=eig_table)
+    half = _periods(t0 + 2.0 * deltas, params, "eig_half", params.p_s, t0=t0,
+                    eig_table=eig_table)
+    assert np.allclose(half, full, rtol=1e-6)
 
 
 def test_eig_ode_step_refinement_converges(monkeypatch, params, eig_table):
     t = np.array([0.0, 50.0, 100.0])
-    cfg = PredictorConfig(variant="eig_full", eig_table=eig_table)
-    coarse = eigenvalue_ode_period(t, cfg, params)
+    coarse = _periods(t, params, "eig_full", params.p_s, eig_table=eig_table)
     monkeypatch.setattr(predictors, "_DP_MAX", 0.5 * predictors._DP_MAX)
-    fine = eigenvalue_ode_period(t, cfg, params)
-    assert np.max(np.abs(coarse["period"] / fine["period"] - 1.0)) < 1e-6
+    fine = _periods(t, params, "eig_full", params.p_s, eig_table=eig_table)
+    assert np.max(np.abs(coarse / fine - 1.0)) < 1e-6
 
 
 def _rk4_with_separate_step_lookup(times, table, p0, t0, factor):
@@ -147,55 +137,50 @@ def _rk4_with_separate_step_lookup(times, table, p0, t0, factor):
 
 def test_eig_ode_looks_lambda_up_four_times_per_step(monkeypatch, params, eig_table):
     t = np.linspace(0.0, 100.0, 201)
-    cfg = PredictorConfig(variant="eig_full", eig_table=eig_table)
-    expected, steps = _rk4_with_separate_step_lookup(
-        t, eig_table, cfg.start_period(params), cfg.t0, cfg.factor)
+    expected, steps = _rk4_with_separate_step_lookup(t, eig_table, params.p_s, 0.0, 1.0)
     calls = []
     lookup = EigTable.lambda_of_period
     monkeypatch.setattr(EigTable, "lambda_of_period",
                         lambda self, p: calls.append(p) or lookup(self, p))
-    got = eigenvalue_ode_period(t, cfg, params)["period"]
+    got = _periods(t, params, "eig_full", params.p_s, eig_table=eig_table)
     assert np.array_equal(got, expected)
     assert len(calls) == 4 * steps
 
 
 def test_eig_ode_rejects_bad_grids(params, eig_table):
-    cfg = PredictorConfig(t0=1.0, variant="eig_full", eig_table=eig_table)
-    with pytest.raises(ValueError):
-        eigenvalue_ode_period(np.array([0.0, 2.0]), cfg, params)
-    with pytest.raises(ValueError):
-        eigenvalue_ode_period(np.array([3.0, 2.0]), cfg, params)
+    for t in (np.array([0.0, 2.0]), np.array([3.0, 2.0])):
+        with pytest.raises(ValueError):
+            _periods(t, params, "eig_full", params.p_s, t0=1.0, eig_table=eig_table)
 
 
 def test_predict_periods_dispatch(params, eig_table):
     t = np.linspace(0.0, 10.0, 5)
-    lp = predict_periods(t, PredictorConfig(variant="langer"), params)
-    assert np.allclose(lp["period"], langer_period(t, params), rtol=1e-14)
-    ep = predict_periods(t, PredictorConfig(variant="eig_full", eig_table=eig_table), params)
-    assert np.all(np.diff(ep["period"]) > 0)
+    lp = _periods(t, params, "langer", params.p_s)
+    assert np.array_equal(lp, p_fit(t, 1.0, 1.0, params))
+    ep = _periods(t, params, "eig_full", params.p_s, eig_table=eig_table)
+    assert np.all(np.diff(ep) > 0)
 
 
 def test_predictor_config_validation(params, eig_table):
-    with pytest.raises(ValueError):
-        PredictorConfig(variant="nonsense")
-    with pytest.raises(ValueError):
-        PredictorConfig(variant="eig_full")  # needs a table
-    with pytest.raises(ValueError):
-        PredictorConfig(t0=-1.0)
-    with pytest.raises(ValueError):
-        PredictorConfig(p0=0.5 * params.p_min).start_period(params)
-    assert PredictorConfig(variant="eig_half", eig_table=eig_table).factor == 0.5
-    assert PredictorConfig().start_period(params) == pytest.approx(params.p_s)
+    t = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        _periods(t, params, "nonsense", params.p_s)
+    with pytest.raises(ValueError, match="needs an eig_table"):
+        _periods(t, params, "eig_full", params.p_s)
+    with pytest.raises(ValueError, match="t0 must be nonnegative"):
+        _periods(t, params, "langer", params.p_s, t0=-1.0)
+    with pytest.raises(ValueError, match="below the shortest admissible period"):
+        _periods(t, params, "eig_half", 0.5 * params.p_min, eig_table=eig_table)
 
 
 def test_langer_path_checks_the_start_period(params):
     with pytest.raises(ValueError, match="below the shortest admissible period"):
-        predict_periods(np.linspace(0.0, 1.0, 3), PredictorConfig(p0=0.01), params)
+        _periods(np.linspace(0.0, 1.0, 3), params, "langer", 0.01)
 
 
 def test_predicted_energy_curve_composes(params):
     t = np.linspace(0.0, 10.0, 7)
-    curve = predicted_energy_curve(t, PredictorConfig(), params)
+    curve = predicted_energy_curve(t, params, "langer", params.p_s)
     assert curve.names == ("t", "period", "energy")
     for i in (0, 3, 6):
         assert curve["energy"][i] == pytest.approx(

@@ -84,6 +84,16 @@ class SolverConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t < math.inf:
                 raise ValueError(f"snapshot_times must be finite and nonnegative, got {t}")
+        times, steps = sorted(self.snapshot_times), self.snapshot_steps()
+        for k in range(1, len(steps)):
+            if steps[k] == steps[k - 1]:
+                raise ValueError(f"snapshot_times {times[k - 1]:g} and {times[k]:g} fall due "
+                                 f"at one step of dt = {self.dt_eff:g}")
+
+    def snapshot_steps(self) -> list[int]:
+        """The step at which each snapshot time falls due, in time order: the
+        first step i with t <= i dt + 1e-12."""
+        return [max(0, math.ceil((t - 1e-12) / self.dt_eff)) for t in sorted(self.snapshot_times)]
 
     @property
     def coupled(self) -> bool:

@@ -10,8 +10,11 @@ toward the single-kink energy e_min in a staircase whose sharp drops line
 up with zero crossings leaving the window.
 Because E is not invertible, periods are assigned to energies through the
 infimum pseudoinverse p(e) = inf {p : E(p) <= e}; for time series we use
-the interpolant built on the monotone envelope of the tabulated curve,
-which realizes the same map up to table resolution.
+the linear interpolant built on the monotone envelope of the tabulated
+curve.  The table's gap rule bounds energy gaps, not the period error:
+just below each plateau level p(e) is steep, and there the interpolant
+differs from period_from_energy by up to 4.9 % at kappa = 1e-3 and 5.2 %
+at kappa = 1e-4.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Multi-trial runs, predictor overlays, and coupled-vs-uncoupled timing.
 
 An ensemble repeats one configuration with derived seeds (base seed plus
-trial index) and averages the recorded diagnostics pointwise on the shared
-record grid.  Overlay curves from the period predictors are attached once
-the mean free energy crosses the spinodal level.  A failed trial is
-reported and skipped rather than aborting the whole ensemble, whatever
-the exception that ended it.
+trial index), steps the trials together as one batch, and averages the
+recorded diagnostics pointwise on the shared record grid.  Overlay curves
+from the period predictors are attached once the mean free energy crosses
+the spinodal level.  A failed trial is reported and skipped rather than
+aborting the whole ensemble, whatever the exception that ended it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .predictors import (
     predicted_energy_curve,
 )
 from .series import TimeSeries
-from .solver import RunResult, run
+from .solver import RunResult, run, run_batch
 from .waves import Params
 
 __all__ = [
@@ -77,12 +77,9 @@ class EnsembleReport:
         return out
 
 
-def _attempt_trial(cfg: SolverConfig) -> tuple[TimeSeries | None, str | None]:
-    """(series, None) for a finished trial, (None, message) for a failed one."""
-    try:
-        return run(cfg).series, None
-    except Exception as exc:  # any failure ends this trial only
-        return None, str(exc)
+def _trial_outcomes(jobs: list[SolverConfig]) -> list[TimeSeries | str]:
+    """Each trial's series, or the message of the fault that ended it."""
+    return [out.series if isinstance(out, RunResult) else str(out) for out in run_batch(jobs)]
 
 
 def _mean_columns(series: list[TimeSeries]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,15 +112,18 @@ def run_ensemble(config: SolverConfig, trials: int, workers: int = 1,
                  eig_table: EigTable | None = None) -> EnsembleReport:
     """Run ``trials`` seeds of one configuration and average diagnostics.
 
-    Trial ``i`` uses seed ``config.seed + i``.  Aggregation happens in the
-    calling process; ``workers > 1`` distributes the runs themselves.
+    Trial ``i`` uses seed ``config.seed + i``.  The trials are stepped as
+    one batch; ``workers > 1`` splits it into up to that many batches, run in
+    their own processes.  Aggregation happens in the calling process.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     jobs = [replace(config, seed=config.seed + i) for i in range(trials)]
-    outcomes = parallel_map(_attempt_trial, jobs, workers)
-    results = [series for series, _ in outcomes]
-    failures = [(i, error) for i, (_, error) in enumerate(outcomes) if error is not None]
+    size = math.ceil(trials / max(1, workers))
+    batches = [jobs[i:i + size] for i in range(0, trials, size)]
+    outcomes = [out for batch in parallel_map(_trial_outcomes, batches, workers) for out in batch]
+    results = [None if isinstance(out, str) else out for out in outcomes]
+    failures = [(i, out) for i, out in enumerate(outcomes) if isinstance(out, str)]
 
     done = [s for s in results if s is not None]
     if not done:

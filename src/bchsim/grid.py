@@ -39,12 +39,12 @@ class Grid:
         self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.dx)
 
     def spectral(self, values: np.ndarray) -> np.ndarray:
-        """Band spectrum: the real-transform modes j < n/4 of grid values."""
-        return np.fft.rfft(values)[: self.band]
+        """Band spectrum: the real-transform modes j < n/4, along the last axis."""
+        return np.fft.rfft(values, axis=-1)[..., : self.band]
 
     def physical(self, hat: np.ndarray) -> np.ndarray:
         """Grid values of a (band or half) spectrum, zero-padded to n points."""
-        return np.fft.irfft(hat, n=self.n)
+        return np.fft.irfft(hat, n=self.n, axis=-1)
 
     def __eq__(self, other) -> bool:
         return (

@@ -60,6 +60,9 @@ class TimeSeries:
         if not text:
             raise ValueError(f"{path} is empty")
         names = [h.strip() for h in text[0].split(",")]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"{path}: the header names column {name!r} twice")
         rows = [line.split(",") for line in text[1:] if line.strip()]
         for r in rows:
             if len(r) != len(names):

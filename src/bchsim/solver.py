@@ -18,16 +18,21 @@ to three band fields are alias-free on the n points (Orszag's rule), so
 forming them there and truncating is their exact projection; the Burgers
 term is taken as (v^2/2)_x, which projects exactly as v v_x does.
 
+A run is a batch of one: run_batch steps runs that differ only in seed as
+the rows of (rows, n/4) spectra.
+
 Diagnostics recorded every record_every steps: free energy, kinetic
 energy, H1 seminorms, the period assigned to the free energy by the
 coarseness interpolant, and the discrete residual of the energy balance
-d/dt(.5 |v|^2 + K E) = -nu |v_x|^2 - K |mu_x|^2 (advective form).
+d/dt(.5 |v|^2 + K E) = -nu |v_x|^2 - K |mu_x|^2 (advective form).  Squared
+norms are Parseval sums over the band; the bulk int F(phi) is summed on the
+n points of the phi the next step transforms, which the record hands on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +46,7 @@ __all__ = [
     "SolverError",
     "Stepper",
     "run",
+    "run_batch",
     "RunResult",
     "Snapshot",
     "resolution_check",
@@ -88,28 +94,38 @@ class Stepper:
         self.c_v = 1.0 / (1.0 + dt * p.nu * k2)
         self.c_src = (-dt if coupling_mode == "div2" else dt) * p.K * self.c_v
         self.c_burgers = -0.5 * dt * self.ik * self.c_v
-
-    def cubic_hat(self, phi: np.ndarray) -> np.ndarray:
-        return self.spectral(phi * phi * phi)
+        # Parseval on the band: dx sum_i f_i^2 = sum_j w_j |f^_j|^2, mode 0 once,
+        # modes 1..n/4-1 twice for their conjugates; k^2 w weighs f_x
+        self.w = np.where(k == 0.0, 1.0, 2.0) * grid.dx / grid.n
+        self.k2w = k2 * self.w
 
     def mu_hat(self, phi_hat: np.ndarray, cubic_hat: np.ndarray) -> np.ndarray:
         return self.mu_lin * phi_hat + self.params.alpha * cubic_hat
 
-    def advance(self, phi_hat: np.ndarray, v_hat: np.ndarray | None):
-        """One step; returns updated spectra.  Raises on a CFL violation or non-finite v."""
-        phi = self.physical(phi_hat)
-        cubic_hat = self.cubic_hat(phi)
+    def advance(self, phi_hat: np.ndarray, v_hat: np.ndarray | None,
+                phi: np.ndarray | None = None, cubic_hat: np.ndarray | None = None):
+        """One step of each row of band spectra; returns the updated spectra.
+
+        phi and cubic_hat, the grid values and P[phi^3] of phi_hat, are
+        taken as given when a record has made them.  Raises SolverError
+        on a CFL violation or non-finite v in any row.
+        """
+        if phi is None:
+            phi = self.physical(phi_hat)
+            cubic_hat = self.spectral(phi * phi * phi)
         new_phi = self.c_phi * phi_hat + self.c_cubic * cubic_hat
         if self.coupling_mode == "uncoupled":
             return new_phi, None
 
         v = self.physical(v_hat)
-        v_max = float(np.max(np.abs(v)))
-        if not (self.dt * max(v_max, 1.0) <= self.grid.dx * (1.0 + 1e-12)):
-            if not math.isfinite(v_max):
-                raise SolverError(f"non-finite velocity: max |v| = {v_max}")
+        v_max = np.max(np.abs(v), axis=-1, keepdims=True)
+        bad = ~(self.dt * np.maximum(v_max, 1.0) <= self.grid.dx * (1.0 + 1e-12))
+        if bad.any():
+            m = float(v_max[bad][0])  # the first row at fault
+            if not math.isfinite(m):
+                raise SolverError(f"non-finite velocity: max |v| = {m}")
             raise SolverError(f"CFL violation: dt = {self.dt:g} exceeds dx / max(|v|, 1) = "
-                              f"{self.grid.dx / max(v_max, 1.0):g}")
+                              f"{self.grid.dx / max(m, 1.0):g}")
 
         mu_hat = self.mu_hat(phi_hat, cubic_hat)
         if self.coupling_mode == "div2":
@@ -122,6 +138,31 @@ class Stepper:
         # v v_x and (v^2/2)_x have the same projection: v^2 is alias-free on n points
         new_v = self.c_v * v_hat + self.c_src * source_hat + self.c_burgers * self.spectral(v * v)
         return new_phi + self.c_adv * adv_hat, new_v
+
+    def record(self, phi_hat: np.ndarray, v_hat: np.ndarray | None):
+        """The recorded diagnostics of each row, and phi and P[phi^3] for the next
+        advance.  Norms are Parseval sums over the band; only the bulk int F(phi)
+        needs phi on the n points.  The dissipation is K |mu_x|^2 + nu |v_x|^2."""
+        phi = self.physical(phi_hat)
+        cubic_hat = self.spectral(phi * phi * phi)
+        p = self.params
+        grad2 = _band_sum(self.k2w, phi_hat)
+        mu_x2 = _band_sum(self.k2w, self.mu_hat(phi_hat, cubic_hat))
+        zero = np.zeros_like(grad2)
+        v_x2 = zero if v_hat is None else _band_sum(self.k2w, v_hat)
+        return {
+            "free_energy": self.grid.dx * np.sum(p.f(phi), axis=-1) + 0.5 * p.kappa * grad2,
+            "kinetic_energy": zero if v_hat is None else 0.5 * _band_sum(self.w, v_hat),
+            "h1_phi": np.sqrt(grad2),
+            "h1_v": np.sqrt(v_x2),
+            "dissipation": p.K * mu_x2 + p.nu * v_x2,
+        }, phi, cubic_hat
+
+
+def _band_sum(weights: np.ndarray, hat: np.ndarray) -> np.ndarray:
+    """sum_j weights_j |hat_j|^2 of each row.  np.sum over the last axis keeps a
+    row's bits apart from the other rows', which a BLAS product does not."""
+    return np.sum(weights * (hat.real**2 + hat.imag**2), axis=-1)
 
 
 def resolution_check(state: Snapshot) -> tuple[bool, float]:
@@ -180,87 +221,122 @@ class RunResult:
 
 
 def run(config: SolverConfig) -> RunResult:
-    """Integrate a configured run, collecting diagnostics and snapshots."""
+    """Integrate a configured run: the batch of one, raising what ended it."""
+    (result,) = run_batch([config])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_batch(configs: list[SolverConfig]) -> list[RunResult | Exception]:
+    """Integrate runs that differ only in seed as the rows of one batch.
+
+    Each entry is its run's result or the exception that ended it.  A row
+    that fails its CFL or non-finite check is dropped with the message its
+    run alone raises, and the other rows go on.  An exception while one
+    run's initial fields are built ends that run; any other ends every run
+    still stepping.  No row's arithmetic reads another row, so each result
+    is bit-identical to the batch of one of its config.
+    """
+    cfg = configs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
+        raise ValueError("the runs of a batch may differ only in seed")
+    outcomes: list = [None] * len(configs)
+    try:
+        _step_batch(configs, outcomes)
+    except Exception as exc:  # ends every run still stepping
+        outcomes = [exc if out is None else out for out in outcomes]
+    return outcomes
+
+
+def _step_batch(configs: list[SolverConfig], outcomes: list) -> None:
+    """Set the outcome of each run, or leave it None for run_batch to fail."""
     from . import initial
 
-    cfg = config
-    grid = cfg.make_grid()
-    params = cfg.params
-    dt = cfg.dt_eff
+    cfg = configs[0]
+    grid, params, dt = cfg.make_grid(), cfg.params, cfg.dt_eff
     stepper = Stepper(grid, params, dt, cfg.coupling, cfg.stabilizer_eff)
     n_steps = max(1, round(cfg.t_final / dt))
-    late = [t for t in cfg.snapshot_times if t > n_steps * dt + 1e-12]
+    snap_steps = cfg.snapshot_steps()
+    late = [t for t, i in zip(sorted(cfg.snapshot_times), snap_steps) if i > n_steps]
     if late:
         raise ValueError(f"snapshot time {late[0]:g} is after the last step, "
                          f"t = {n_steps * dt:g}")
+    fields = []
+    for b, c in enumerate(configs):
+        try:
+            fields.append(initial.build_initial_fields(c, grid, params))
+        except Exception as exc:  # ends this run only
+            outcomes[b] = exc
+    if not fields:
+        return
+    runs = np.flatnonzero([out is None for out in outcomes])  # the run of each row
+    phi_hat = grid.spectral(np.stack([phi.values for phi, _ in fields]))
+    v_hat = grid.spectral(np.stack([v.values for _, v in fields])) if cfg.coupled else None
+    phi = cubic_hat = None  # grid values and P[phi^3] of phi_hat, when a record made them
+    times: list[float] = []
+    n_records = n_steps // cfg.record_every + 1 + (n_steps % cfg.record_every > 0)
+    cols: dict[str, np.ndarray] = {}  # name -> values by run and record
+    snapshots: list[list[Snapshot]] = [[] for _ in configs]
 
-    phi0, v0 = initial.build_initial_fields(cfg, grid, params)
-    phi_hat = grid.spectral(phi0.values)
-    v_hat = None if v0 is None else grid.spectral(v0.values)
+    def snap(t: float) -> list[Snapshot]:
+        phis = grid.physical(phi_hat)
+        vs = None if v_hat is None else grid.physical(v_hat)
+        return [Snapshot(t=t, phi=Field(grid, phis[r]),
+                         v=None if vs is None else Field(grid, vs[r])) for r in range(runs.size)]
 
-    table = coarseness_table(params)
-    snaps_due = sorted(cfg.snapshot_times)
-    snapshots: list[Snapshot] = []
+    def drop(faults: dict[int, str]) -> None:
+        """End the run of each faulted row with that row's message."""
+        nonlocal runs, phi_hat, v_hat, phi, cubic_hat
+        for r, message in faults.items():
+            outcomes[runs[r]] = SolverError(message)
+        keep = np.isin(np.arange(runs.size), list(faults), invert=True)
+        runs = runs[keep]
+        phi_hat, v_hat, phi, cubic_hat = (
+            None if a is None else a[keep] for a in (phi_hat, v_hat, phi, cubic_hat))
 
-    rows: dict[str, list[float]] = {
-        "t": [], "free_energy": [], "kinetic_energy": [], "h1_phi": [],
-        "h1_v": [], "period": [], "balance_residual": [],
-    }
-    lyapunov: list[float] = []
-    dissipation: list[float] = []
-
-    def record(step_index: int) -> None:
-        phi = grid.physical(phi_hat)
-        phi_x = grid.physical(stepper.ik * phi_hat)
-        grad2 = grid.dx * float(np.sum(phi_x**2))
-        e = grid.dx * float(np.sum(params.f(phi))) + 0.5 * params.kappa * grad2
-        mu_hat = stepper.mu_hat(phi_hat, stepper.cubic_hat(phi))
-        mu_x = grid.physical(stepper.ik * mu_hat)
-        diss = params.K * grid.dx * float(np.sum(mu_x**2))
-        kinetic = h1_v = 0.0
-        if v_hat is not None:
-            v = grid.physical(v_hat)
-            v_x = grid.physical(stepper.ik * v_hat)
-            kinetic = 0.5 * grid.dx * float(np.sum(v**2))
-            h1_v = math.sqrt(grid.dx * float(np.sum(v_x**2)))
-            diss += params.nu * grid.dx * float(np.sum(v_x**2))
-        rows["t"].append(step_index * dt)
-        rows["free_energy"].append(e)
-        rows["kinetic_energy"].append(kinetic)
-        rows["h1_phi"].append(math.sqrt(grad2))
-        rows["h1_v"].append(h1_v)
-        rows["period"].append(float(table.period_of_energy(e)))
-        lyapunov.append(kinetic + params.K * e)
-        dissipation.append(diss)
-
-    def snap(t: float) -> Snapshot:
-        v = None if v_hat is None else Field(grid, grid.physical(v_hat))
-        return Snapshot(t=t, phi=Field(grid, grid.physical(phi_hat)), v=v)
-
-    record(0)
-    while snaps_due and snaps_due[0] <= 1e-12:
-        snapshots.append(snap(0.0))
-        snaps_due.pop(0)
-
-    for i in range(1, n_steps + 1):
-        phi_hat, v_hat = stepper.advance(phi_hat, v_hat)
-        t = i * dt
-        for name, hat in (("phase field", phi_hat), ("velocity", v_hat)):
-            if hat is not None and not np.all(np.isfinite(hat)):
-                raise SolverError(f"non-finite {name} at t = {t:g}")
+    for i in range(n_steps + 1):
+        if i:
+            try:
+                phi_hat, v_hat = stepper.advance(phi_hat, v_hat, phi, cubic_hat)
+            except SolverError:  # a CFL fault: each row steps alone to show its own
+                faults = {}
+                for r in range(runs.size):
+                    try:
+                        stepper.advance(phi_hat[r], v_hat[r])
+                    except SolverError as exc:
+                        faults[r] = str(exc)
+                if not faults:
+                    raise
+                drop(faults)
+                if runs.size:
+                    phi_hat, v_hat = stepper.advance(phi_hat, v_hat, phi, cubic_hat)
+            phi = cubic_hat = None
+            faults = {}
+            for name, hat in (("phase field", phi_hat), ("velocity", v_hat)):
+                if hat is not None and not np.isfinite(hat).all():
+                    for r in np.flatnonzero(~np.isfinite(hat).all(axis=-1)):
+                        faults.setdefault(int(r), f"non-finite {name} at t = {i * dt:g}")
+            if faults:
+                drop(faults)
+            if not runs.size:
+                return
         if i % cfg.record_every == 0 or i == n_steps:
-            record(i)
-        while snaps_due and snaps_due[0] <= t + 1e-12:
-            snapshots.append(snap(t))
-            snaps_due.pop(0)
+            values, phi, cubic_hat = stepper.record(phi_hat, v_hat)
+            for name, col in values.items():
+                cols.setdefault(name, np.zeros((len(configs), n_records)))[runs, len(times)] = col
+            times.append(i * dt)
+        if i in snap_steps:
+            for b, s in zip(runs, snap(i * dt)):
+                snapshots[b].append(s)
 
-    residual = energy_balance_residual(
-        np.array(rows["t"]), np.array(lyapunov), np.array(dissipation)
-    )
-    rows["balance_residual"] = list(residual)
-    series = TimeSeries(**{k: np.array(v) for k, v in rows.items()})
-
-    final = snap(n_steps * dt)
-    ok, tail = resolution_check(final)
-    return RunResult(config=cfg, series=series, snapshots=snapshots,
-                     final_state=final, resolution_ok=ok, resolution_tail=tail)
+    t = np.array(times)
+    cols["period"] = coarseness_table(params).period_of_energy(cols["free_energy"])
+    for b, final in zip(runs, snap(n_steps * dt)):
+        c = {name: col[b] for name, col in cols.items()}  # in the series' column order
+        c["balance_residual"] = energy_balance_residual(
+            t, c["kinetic_energy"] + params.K * c["free_energy"], c.pop("dissipation"))
+        ok, tail = resolution_check(final)
+        outcomes[b] = RunResult(config=configs[b], series=TimeSeries(t=t, **c),
+                                snapshots=snapshots[b], final_state=final,
+                                resolution_ok=ok, resolution_tail=tail)

@@ -192,6 +192,7 @@ def test_usage_errors_exit_one(tmp_path, fast_config):
     ({"snapshot_times": "nan, -1"}, "snapshot_times"),
     ({"snapshot_times": "-1"}, "snapshot_times"),
     ({"snapshot_times": "inf"}, "snapshot_times"),
+    ({"snapshot_times": "0.0041, 0.0042"}, "snapshot_times"),
 ])
 def test_bad_config_value_exits_one_before_the_run(overrides, key, tmp_path, capsys):
     values = {"coupling": "uncoupled", "n": "64", "t_final": "0.01", "dt": "1e-3"}
@@ -257,6 +258,16 @@ def test_measure_rejects_irregular_snapshots(tmp_path):
     phi = 0.1 * np.sin(np.pi * g.x)
     phi[5] = np.nan
     assert main(["measure", "--snapshot", str(_field_file(tmp_path / "nan.csv", g, phi))]) == 1
+
+
+def test_measure_rejects_a_duplicated_column(tmp_path, capsys):
+    g = Grid(64)
+    path = tmp_path / "dup.csv"
+    rows = "".join(f"{float(x)!r},0.1,0.2\n" for x in g.x)
+    path.write_text("x,phi,phi\n" + rows)
+    assert main(["measure", "--snapshot", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "column 'phi' twice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_waves_table_format(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Ensembles, predictor overlays, crossing times, and drop detection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import bchsim.ensemble as ens
+import bchsim.initial as initial
 from bchsim.config import SolverConfig
 from bchsim.ensemble import (
     CompareReport,
@@ -15,7 +18,7 @@ from bchsim.ensemble import (
 )
 from bchsim.grid import Field, Grid
 from bchsim.series import TimeSeries
-from bchsim.solver import RunResult, Snapshot
+from bchsim.solver import RunResult, Snapshot, run
 from bchsim.waves import Params
 
 
@@ -35,13 +38,12 @@ def _synthetic_series(t, energy, period=None) -> TimeSeries:
 
 
 def _fake_run(series_for_index):
-    """A stand-in for solver.run that returns, or raises, series_for_index(i)
-    for trial i of _fast_cfg."""
-    def fake(cfg):
-        out = series_for_index(cfg.seed - _fast_cfg().seed)
-        if isinstance(out, Exception):
-            raise out
-        return _result_with_series(cfg, out)
+    """A stand-in for solver.run_batch that gives trial i of _fast_cfg the
+    series series_for_index(i) returns, or fails it with the exception."""
+    def fake(cfgs):
+        outs = [series_for_index(cfg.seed - _fast_cfg().seed) for cfg in cfgs]
+        return [out if isinstance(out, Exception) else _result_with_series(cfg, out)
+                for cfg, out in zip(cfgs, outs)]
     return fake
 
 
@@ -75,7 +77,7 @@ def test_failed_trial_marks_partial(monkeypatch, error):
             return exc
         return good
 
-    monkeypatch.setattr(ens, "run", _fake_run(series_for))
+    monkeypatch.setattr(ens, "run_batch", _fake_run(series_for))
     report = run_ensemble(_fast_cfg(), trials=3, overlays=False)
     assert report.partial
     assert report.failures == [(1, str(exc))]
@@ -97,8 +99,28 @@ def test_worker_pool_gives_the_serial_series():
             assert np.array_equal(a[name], b[name])
 
 
+def test_a_nan_in_one_row_fails_that_trial_only(monkeypatch):
+    cfg = _fast_cfg(t_final=0.05, record_every=10)
+    serial = [run(replace(cfg, seed=cfg.seed + i)).series for i in (0, 2)]
+    build = initial.build_initial_fields
+
+    def planted(c, grid, params):
+        phi, v = build(c, grid, params)
+        if c.seed == cfg.seed + 1:
+            phi.values[7] = np.nan
+        return phi, v
+
+    monkeypatch.setattr(initial, "build_initial_fields", planted)
+    report = run_ensemble(cfg, trials=3, overlays=False)
+    assert report.failures == [(1, "non-finite phase field at t = 0.001")]
+    assert report.completed == [0, 2]
+    for alone, batched in zip(serial, (report.trial_series[0], report.trial_series[2])):
+        for name in alone.names:
+            assert np.array_equal(alone[name], batched[name]), name
+
+
 def test_all_failures_raise(monkeypatch):
-    monkeypatch.setattr(ens, "run", _fake_run(lambda i: RuntimeError("dead")))
+    monkeypatch.setattr(ens, "run_batch", _fake_run(lambda i: RuntimeError("dead")))
     with pytest.raises(RuntimeError, match="all 3 trials"):
         run_ensemble(_fast_cfg(), trials=3, overlays=False)
 
@@ -108,7 +130,7 @@ def test_mismatched_record_grids_rejected(monkeypatch):
         t = np.linspace(0.0, 1.0, 6 + index)
         return _synthetic_series(t, np.full(t.size, 0.5))
 
-    monkeypatch.setattr(ens, "run", _fake_run(series_for))
+    monkeypatch.setattr(ens, "run_batch", _fake_run(series_for))
     with pytest.raises(ValueError, match="record grids"):
         run_ensemble(_fast_cfg(), trials=2, overlays=False)
 
@@ -116,7 +138,7 @@ def test_mismatched_record_grids_rejected(monkeypatch):
 def test_overlays_start_at_the_handshake(monkeypatch, eig_table, params):
     t = np.linspace(0.0, 10.0, 21)
     energy = np.linspace(0.5, 0.35, 21)
-    monkeypatch.setattr(ens, "run", _fake_run(lambda i: _synthetic_series(t, energy)))
+    monkeypatch.setattr(ens, "run_batch", _fake_run(lambda i: _synthetic_series(t, energy)))
     report = run_ensemble(_fast_cfg(), trials=2, overlays=True, eig_table=eig_table)
     hs = report.handshake
     assert hs is not None
@@ -134,7 +156,7 @@ def test_overlays_start_at_the_handshake(monkeypatch, eig_table, params):
 
 def test_no_spinodal_crossing_means_no_overlays(monkeypatch):
     t = np.linspace(0.0, 1.0, 6)
-    monkeypatch.setattr(ens, "run", _fake_run(lambda i: _synthetic_series(t, np.full(6, 0.49))))
+    monkeypatch.setattr(ens, "run_batch", _fake_run(lambda i: _synthetic_series(t, np.full(6, 0.49))))
     report = run_ensemble(_fast_cfg(), trials=1, overlays=True)
     assert report.handshake is None
     assert report.overlays is None

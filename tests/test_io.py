@@ -111,6 +111,13 @@ def test_report_round_trip(tmp_path):
     assert read_report(tmp_path) == payload
 
 
+def test_from_csv_refuses_a_duplicated_header(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("x,phi,phi\n-1.0,0.1,0.2\n0.0,0.3,0.4\n")
+    with pytest.raises(ValueError, match="column 'phi' twice"):
+        TimeSeries.from_csv(path)
+
+
 def test_series_csv_round_trip_is_byte_identical(tmp_path):
     series = _tiny_result().series
     first = tmp_path / "a.csv"

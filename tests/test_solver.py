@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import bchsim.initial as initial
+import bchsim.solver as solver
 from bchsim.config import COUPLINGS, SolverConfig
 from bchsim.energy import free_energy
 from bchsim.grid import Field, Grid
@@ -11,6 +15,7 @@ from bchsim.solver import (
     energy_balance_residual,
     resolution_check,
     run,
+    run_batch,
 )
 from bchsim.waves import Params
 
@@ -314,3 +319,108 @@ def test_stepper_matches_masked_reference(mode):
     assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
     if mode != "uncoupled":
         assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+
+
+@pytest.mark.parametrize("mode", ["uncoupled", "advective"])
+def test_parseval_record_matches_grid_quadrature(mode):
+    g = Grid(256)
+    params = Params()
+    stepper = Stepper(g, params, 1e-4, mode)
+    phi_hat = g.spectral(_noise_band_limited(g, 3, scale=0.5))
+    v_hat = None if mode == "uncoupled" else g.spectral(_noise_band_limited(g, 4, scale=0.3))
+    values, phi, cubic_hat = stepper.record(phi_hat, v_hat)
+    assert np.array_equal(phi, g.physical(phi_hat))
+    assert np.array_equal(cubic_hat, g.spectral(phi * phi * phi))
+
+    phi_x = g.physical(stepper.ik * phi_hat)
+    mu_x = g.physical(stepper.ik * stepper.mu_hat(phi_hat, cubic_hat))
+    expect = {
+        "free_energy": free_energy(Field(g, phi), params),
+        "h1_phi": np.sqrt(g.dx * np.sum(phi_x**2)),
+        "dissipation": params.K * g.dx * np.sum(mu_x**2),
+    }
+    if v_hat is not None:
+        v, v_x = g.physical(v_hat), g.physical(stepper.ik * v_hat)
+        expect["kinetic_energy"] = 0.5 * g.dx * np.sum(v**2)
+        expect["h1_v"] = np.sqrt(g.dx * np.sum(v_x**2))
+        expect["dissipation"] += params.nu * g.dx * np.sum(v_x**2)
+    else:
+        assert values["kinetic_energy"] == values["h1_v"] == 0.0
+    for name, value in expect.items():
+        assert values[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("coupling,init_v", [("uncoupled", "none"), ("advective", "bump")])
+def test_batch_rows_are_bit_identical_to_their_batch_of_one(coupling, init_v):
+    base = SolverConfig(coupling=coupling, init_v=init_v, n=256, dt=1e-4, t_final=0.01,
+                        record_every=10, seed=5, snapshot_times=(0.0, 0.005))
+    configs = [replace(base, seed=base.seed + i) for i in range(3)]
+    for cfg, batched in zip(configs, run_batch(configs)):
+        alone = run(cfg)
+        assert batched.config == cfg
+        assert batched.series.names == alone.series.names
+        for name in alone.series.names:
+            assert np.array_equal(batched.series[name], alone.series[name]), name
+        states = [(batched.final_state, alone.final_state)]
+        states += list(zip(batched.snapshots, alone.snapshots))
+        assert len(batched.snapshots) == len(alone.snapshots) == 2
+        for a, b in states:
+            assert a.t == b.t
+            assert np.array_equal(a.phi.values, b.phi.values)
+            assert (a.v is None and b.v is None) or np.array_equal(a.v.values, b.v.values)
+
+
+def test_batch_refuses_runs_that_differ_beyond_the_seed():
+    cfg = SolverConfig(n=64, t_final=0.01)
+    with pytest.raises(ValueError, match="only in seed"):
+        run_batch([cfg, replace(cfg, seed=1, kappa=2e-3)])
+
+
+def _planted(monkeypatch, seed, plant):
+    """Make plant(phi, v) the initial fields of the run with this seed."""
+    build = initial.build_initial_fields
+
+    def planted(cfg, grid, params):
+        fields = build(cfg, grid, params)
+        return plant(*fields) if cfg.seed == seed else fields
+
+    monkeypatch.setattr(initial, "build_initial_fields", planted)
+
+
+def test_a_cfl_fault_in_one_row_ends_that_run_only(monkeypatch):
+    base = SolverConfig(coupling="advective", init_v="bump", n=256, dt=1e-4, t_final=0.005,
+                        record_every=10, seed=5)
+    configs = [replace(base, seed=base.seed + i) for i in range(3)]
+    alone = [run(configs[0]), run(configs[2])]
+    _planted(monkeypatch, base.seed + 1, lambda phi, v: (phi, Field(v.grid, 100.0 * v.values)))
+    with pytest.raises(SolverError, match="CFL violation") as serial:
+        run(configs[1])
+    batched = run_batch(configs)
+    assert isinstance(batched[1], SolverError) and str(batched[1]) == str(serial.value)
+    for a, b in zip(alone, (batched[0], batched[2])):
+        for name in a.series.names:
+            assert np.array_equal(a.series[name], b.series[name]), name
+
+
+def test_batch_faults_end_one_run_or_every_run_still_stepping(monkeypatch):
+    base = SolverConfig(n=64, dt=1e-3, t_final=0.01, record_every=5, seed=5)
+    configs = [replace(base, seed=base.seed + i) for i in range(3)]
+    broken = OSError("unreadable")
+
+    def fail(phi, v):
+        raise broken
+
+    _planted(monkeypatch, base.seed + 1, fail)
+    batched = run_batch(configs)
+    assert batched[1] is broken
+    assert all(isinstance(b, solver.RunResult) for b in (batched[0], batched[2]))
+
+    boom = KeyError("boom")
+
+    def no_table(params):
+        raise boom
+
+    monkeypatch.setattr(solver, "coarseness_table", no_table)
+    assert run_batch(configs) == [boom, broken, boom]
+    with pytest.raises(KeyError, match="boom"):
+        run(configs[0])

@@ -30,7 +30,7 @@ from .initial import read_file_fields
 from .predictors import fit_pfit, fit_window, predicted_energy_curve
 from .series import TimeSeries
 from .solver import run
-from .waves import Params, period_of_amplitude, periodic_wave
+from .waves import Params, periodic_wave
 
 __all__ = ["main"]
 
@@ -186,12 +186,16 @@ def _load_config(args, required: bool = True) -> SolverConfig | None:
 
 
 def _params_for(args) -> tuple[SolverConfig | None, Params]:
-    """The optional --config and its params, with --kappa applied."""
+    """The optional --config and its params, with --kappa applied and --t0, --p0 checked."""
     cfg = _load_config(args, required=False)
     params = cfg.params if cfg is not None else SolverConfig().params
     kappa = getattr(args, "kappa", None)
     if kappa is not None:
         params = replace(params, kappa=kappa)
+    if getattr(args, "t0", 0.0) < 0:
+        raise UsageError(f"--t0 must be nonnegative, got {args.t0:g}")
+    if getattr(args, "p0", None) is not None and args.p0 < params.p_min:
+        raise UsageError(f"--p0 must be at least p_min = {params.p_min:.6g}, got {args.p0:g}")
     return cfg, params
 
 
@@ -257,10 +261,6 @@ def _cmd_predict(args) -> int:
         raise UsageError("--half only applies to --method eig")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-    if args.t0 < 0:
-        raise UsageError(f"--t0 must be nonnegative, got {args.t0:g}")
-    if args.p0 is not None and args.p0 < params.p_min:
-        raise UsageError(f"--p0 must be at least p_min = {params.p_min:.6g}, got {args.p0:g}")
     if args.t_max <= args.t0:
         raise UsageError("--t-max must exceed --t0")
     variant = "langer" if args.method == "langer" else (
@@ -305,11 +305,10 @@ def _cmd_waves_table(args) -> int:
     binodal = params.binodal
     amps = np.arange(args.da, 1.0, args.da) * binodal
     amps = amps[amps < binodal * (1.0 - 1e-12)]
-    waves = [periodic_wave(float(a), params) for a in amps]
+    waves = periodic_wave(amps, params)
     out = _out_dir(args, "waves", None)
-    TimeSeries(amplitude=amps, period=period_of_amplitude(amps, params),
-               modulus=[w.modulus for w in waves],
-               energy=[wave_window_energy(float(a), params) for a in amps]).to_csv(out / "table.csv")
+    TimeSeries(amplitude=amps, period=waves.period, modulus=waves.modulus,
+               energy=wave_window_energy(amps, params)).to_csv(out / "table.csv")
     runio.write_report(out, {
         "command": "waves table", "rows": int(len(amps)),
         "da": float(args.da), "kappa": float(params.kappa), "table": "table.csv",

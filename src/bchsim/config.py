@@ -89,11 +89,20 @@ class SolverConfig:
             if steps[k] == steps[k - 1]:
                 raise ValueError(f"snapshot_times {times[k - 1]:g} and {times[k]:g} fall due "
                                  f"at one step of dt = {self.dt_eff:g}")
+        late = [t for t, i in zip(times, steps) if i > self.n_steps]
+        if late:
+            raise ValueError(f"snapshot_times {late[0]:g} is after the last step, "
+                             f"t = {self.n_steps * self.dt_eff:g}")
 
     def snapshot_steps(self) -> list[int]:
         """The step at which each snapshot time falls due, in time order: the
         first step i with t <= i dt + 1e-12."""
         return [max(0, math.ceil((t - 1e-12) / self.dt_eff)) for t in sorted(self.snapshot_times)]
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of dt the run takes to reach t_final, at least one."""
+        return max(1, round(self.t_final / self.dt_eff))
 
     @property
     def coupled(self) -> bool:

@@ -3,11 +3,11 @@
 The coarseness of a state is read off the window energy of the stationary
 wave family: E(p) is the free energy on [-L, L) of the wave with period p,
 shifted so a zero crossing sits at the origin.  E is in closed form, from
-the incomplete elliptic integral of the second kind at the window edge;
-an array of periods is inverted to amplitudes in one vectorized
-bisection.  E decreases from e_max = 2 L F(0) at the shortest period
-toward the single-kink energy e_min in a staircase whose sharp drops line
-up with zero crossings leaving the window.
+the incomplete elliptic integral of the second kind at the window edge,
+and elementwise: one vectorized bisection inverts an array of periods to
+amplitudes, and one call takes all their energies.  E decreases from
+e_max = 2 L F(0) at the shortest period toward the single-kink energy
+e_min in a staircase whose sharp drops line up with zero crossings leaving the window.
 Because E is not invertible, periods are assigned to energies through the
 infimum pseudoinverse p(e) = inf {p : E(p) <= e}; for time series we use
 the linear interpolant built on the monotone envelope of the tabulated
@@ -65,7 +65,7 @@ class EnergyScale:
     e_spinodal: float
 
 
-def wave_window_energy(a: float, params: Params) -> float:
+def wave_window_energy(a, params: Params):
     """Free energy on [-L, L) of the amplitude-a wave with phi(0) = 0, in closed form.
 
     The first integral (kappa/2) phi_x^2 = F(phi) - F(a) turns the energy
@@ -74,12 +74,17 @@ def wave_window_energy(a: float, params: Params) -> float:
     b^2 = beta/alpha, so with u = h L that integral is (alpha/4h)(a^4 S4 -
     2 a^2 b^2 S2 + b^4 u), S2 and S4 the integrals of sn^2 and sn^4 over
     [0, u]: WaveProfile.potential_integral takes them from the incomplete
-    elliptic integral of the second kind at u alone, sampling no profile.
+    elliptic integral of the second kind at u alone, sampling no profile,
+    for all amplitudes of a at once.  a = 0 is the zero state, e_max.
     """
-    if a == 0.0:
-        return params.e_max
+    a = np.asarray(a, dtype=float)
+    zero = a == 0.0
+    # the zero state is no wave; any amplitude in range stands in for it
+    wave = periodic_wave(np.where(zero, 0.5 * params.binodal, a), params)
     length = params.half_length
-    return 4.0 * periodic_wave(a, params).potential_integral(length) - 2.0 * length * params.f(a)
+    e = 4.0 * wave.potential_integral(length) - 2.0 * length * params.f(wave.amplitude)
+    e = np.where(zero, params.e_max, e)
+    return float(e) if e.ndim == 0 else e
 
 
 def energy_of_period(p, params: Params):
@@ -92,7 +97,7 @@ def energy_of_period(p, params: Params):
                          f"got {p[p < params.p_min][0]}")
     e = np.full(p.shape, params.e_max)
     longer = p > params.p_min
-    e[longer] = [wave_window_energy(a, params) for a in amplitude_of_period(p[longer], params)]
+    e[longer] = wave_window_energy(amplitude_of_period(p[longer], params), params)
     return float(e) if e.ndim == 0 else e
 
 
@@ -158,45 +163,39 @@ class EnergyPeriodTable:
         e_min = params.e_min
         e_cap = e_min + (e_max - e_min) * _CAP_FRACTION
 
-        def u_of(a: float) -> float:
-            return math.log(1.0 - a / binodal)
+        def a_of(u):
+            # math.expm1, not np.expm1: the two differ in the last bit on some nodes
+            return np.array([binodal * (-math.expm1(v)) for v in u])
 
-        def a_of(u: float) -> float:
-            return binodal * (-math.expm1(u))
-
-        nodes = [(u, wave_window_energy(a_of(u), params))
-                 for u in (u_of(binodal * s) for s in np.linspace(0.005, 0.99, 120))]
-        truncated = True
-        for m in np.arange(2.25, 15.6, 0.25):
-            u = math.log(10.0) * (-m)
-            nodes.append((u, wave_window_energy(a_of(u), params)))
-            if nodes[-1][1] <= e_cap:
-                truncated = False
-                break
+        seeds = [math.log(1.0 - binodal * s / binodal) for s in np.linspace(0.005, 0.99, 120)]
+        us = np.concatenate((seeds, math.log(10.0) * -np.arange(2.25, 15.6, 0.25)))
+        es = wave_window_energy(a_of(us), params)
+        capped = np.flatnonzero(es[len(seeds):] <= e_cap)
+        truncated = not capped.size
+        end = us.size if truncated else len(seeds) + capped[0] + 1
+        us, es = us[:end], es[:end]
 
         gap = _GAP_FRACTION * (e_max - e_min)
         # Leading cell against the analytic (p_min, e_max) row.
-        while len(nodes) < _MAX_NODES:
+        while us.size < _MAX_NODES:
             refined = False
-            if abs(nodes[0][1] - e_max) > gap:
+            if abs(es[0] - e_max) > gap:
                 # Halve the leading amplitude; u = log(1 - a/binodal) ~ -a/binodal there.
-                u = 0.5 * nodes[0][0]
-                nodes.insert(0, (u, wave_window_energy(a_of(u), params)))
+                us = np.insert(us, 0, 0.5 * us[0])
+                es = np.insert(es, 0, wave_window_energy(a_of(us[:1]), params))
                 refined = True
-            out = [nodes[0]]
-            for prev, cur in zip(nodes, nodes[1:]):
-                if abs(cur[1] - prev[1]) > gap and abs(cur[0] - prev[0]) > 1e-6:
-                    u = 0.5 * (prev[0] + cur[0])
-                    out.append((u, wave_window_energy(a_of(u), params)))
-                    refined = True
-                out.append(cur)
-            nodes = out
-            if not refined:
+            # a pass's midpoints depend only on the nodes it starts from
+            split = np.flatnonzero((abs(np.diff(es)) > gap) & (abs(np.diff(us)) > 1e-6))
+            if split.size:
+                mids = 0.5 * (us[split] + us[split + 1])
+                es = np.insert(es, split + 1, wave_window_energy(a_of(mids), params))
+                us = np.insert(us, split + 1, mids)
+            elif not refined:
                 break
 
-        amps = np.array([0.0] + [a_of(u) for u, _ in nodes])
+        amps = np.concatenate(([0.0], a_of(us)))
         periods = np.concatenate(([params.p_min], period_of_amplitude(amps[1:], params)))
-        energies = np.array([e_max] + [e for _, e in nodes])
+        energies = np.concatenate(([e_max], es))
         order = np.argsort(periods)
         amps, periods, energies = amps[order], periods[order], energies[order]
 

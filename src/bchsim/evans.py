@@ -369,18 +369,12 @@ def default_amplitudes(params: Params, da: float = 0.01, p_max: float | None = N
     if p_max is None:
         p_max = _default_p_max(params)
     binodal = params.binodal
-    amps = list(np.arange(da, 1.0, da) * binodal)
-    m = 2.25
-    while m < 15.1:
-        a = binodal * (1.0 - 10.0 ** (-m))
-        if a <= amps[-1]:
-            m += 0.25
-            continue
-        amps.append(a)
-        if period_of_amplitude(a, params) >= p_max:
-            break
-        m += 0.25
-    return np.array(amps)
+    amps = np.arange(da, 1.0, da) * binodal
+    # Python's float power: numpy's differs from it in the last bit on some m
+    tail = np.array([binodal * (1.0 - 10.0 ** (-m)) for m in np.arange(2.25, 15.1, 0.25).tolist()])
+    tail = tail[tail > amps[-1]]
+    reach = np.flatnonzero(period_of_amplitude(tail, params) >= p_max)
+    return np.concatenate((amps, tail[: reach[0] + 1] if reach.size else tail))
 
 
 def build_eig_table(

@@ -50,6 +50,10 @@ class DtUnderflowError(RuntimeError):
         super().__init__(message)
         self.best_energy = best_energy
 
+    def __reduce__(self):
+        # an exception pickles as its type and args, and best_energy is not in args
+        return type(self), (*self.args, self.best_energy)
+
 
 def random_phase_init(grid: Grid, rng: np.random.Generator) -> Field:
     """Normal samples at the grid points with the modes j >= n/4 zeroed."""

@@ -256,12 +256,7 @@ def _step_batch(configs: list[SolverConfig], outcomes: list) -> None:
     cfg = configs[0]
     grid, params, dt = cfg.make_grid(), cfg.params, cfg.dt_eff
     stepper = Stepper(grid, params, dt, cfg.coupling, cfg.stabilizer_eff)
-    n_steps = max(1, round(cfg.t_final / dt))
-    snap_steps = cfg.snapshot_steps()
-    late = [t for t, i in zip(sorted(cfg.snapshot_times), snap_steps) if i > n_steps]
-    if late:
-        raise ValueError(f"snapshot time {late[0]:g} is after the last step, "
-                         f"t = {n_steps * dt:g}")
+    n_steps, snap_steps = cfg.n_steps, cfg.snapshot_steps()
     fields = []
     for b, c in enumerate(configs):
         try:

@@ -14,9 +14,12 @@ Jacobi elliptic sine,
     m(a)^2 = alpha a^2 / (2 beta - alpha a^2),
 
 with period p(a) = 4 K(m)/h(a), K the complete elliptic integral of the
-first kind in the modulus convention.  Elliptic quantities are computed by
-the arithmetic-geometric mean and the descending Landen transformation; no
-lookup tables and no library special functions are involved.
+first kind in the modulus convention.  One descending arithmetic-geometric
+mean ladder, built elementwise over an array of moduli, gives K from its
+last level and sn, cn, dn and the second-kind integral by the descending
+Landen transformation back through it.  So every function here takes an
+array of amplitudes as readily as one; no lookup tables and no library
+special functions are involved.
 """
 
 from __future__ import annotations
@@ -111,37 +114,50 @@ _EPS = np.finfo(float).eps
 _AMPLITUDE_RTOL = 1e-13
 
 
-def _agm(b):
-    """AGM(1, b) elementwise; each element stops at its own convergence."""
-    b = np.array(b, dtype=float)
-    a = np.ones_like(b)
-    for _ in range(200):
-        # a >= b > 0 (arithmetic over geometric mean), so a - b is |a - b|.
-        live = a - b > 4.0 * _EPS * a
-        if not np.count_nonzero(live):
-            break
-        a_next = 0.5 * (a + b)
-        np.copyto(b, np.sqrt(a * b), where=live)
-        np.copyto(a, a_next, where=live)
-    return 0.5 * (a + b)
+def _ladder(k, complement):
+    """Descending AGM ladder on (1, k'), elementwise in k: levels (a_n, c_n), c_0 = k.
+
+    a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2
+    from a_0 = 1, b_0 = k'.  An element stops at the first level with
+    c_n <= 4 eps a_n; at deeper levels it keeps that a_n and has c_n = 0, so
+    folding through them only halves phi, exactly.
+    """
+    # [()] makes one modulus a numpy scalar, whose arithmetic costs far less
+    # than a 0-d array's: the Evans search and period_from_energy build many
+    b = np.asarray(complement, dtype=float)[()]
+    a, live = np.ones_like(b)[()], np.ones_like(b, dtype=bool)[()]
+    levels = [(a, np.asarray(k, dtype=float)[()])]
+    while (n_live := np.count_nonzero(live)) and len(levels) < 64:
+        a_next, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
+        if n_live < live.size:  # the stopped elements keep their a and have c = 0
+            a_next, c = np.where(live, a_next, a), np.where(live, c, 0.0)
+        a = a_next
+        live = live & (c > 4.0 * _EPS * a)
+        levels.append((a, c))
+    return levels
 
 
-def sn_cn_dn(u, k: float, *, complement: float | None = None):
-    """Jacobi sn, cn, dn at argument u (scalar or array) and modulus k."""
+def sn_cn_dn(u, k, *, complement=None):
+    """Jacobi sn, cn, dn at argument u and modulus k, elementwise; below
+    k = 1e-12 the k = 0 limits sin, cos, 1."""
     u = np.asarray(u, dtype=float)
     if complement is None:
-        if not 0.0 <= k <= 1.0:
+        k = np.asarray(k, dtype=float)
+        if not np.all((0.0 <= k) & (k <= 1.0)):
             raise ValueError(f"modulus must lie in [0, 1], got {k}")
-        complement = math.sqrt((1.0 - k) * (1.0 + k))
-    if k < 1e-12:
-        return np.sin(u), np.cos(u), np.ones_like(u)
-    return _landen_fold(u, k, complement)[:3]
+        complement = np.sqrt((1.0 - k) * (1.0 + k))
+    sn, cn, dn, _ = _landen_fold(u, k, complement)
+    small = np.asarray(k) < 1e-12
+    if np.count_nonzero(small):
+        sn, cn, dn = (np.where(small, lim, f) for lim, f in
+                      zip((np.sin(u), np.cos(u), np.ones_like(u)), (sn, cn, dn)))
+    return sn, cn, dn
 
 
-def _landen_fold(u, k: float, complement: float):
-    """sn, cn, dn at u and u - E(am u, k), E the second kind integral, for k >= 1e-12.
+def _landen_fold(u, k, complement):
+    """sn, cn, dn at u and u - E(am u, k), E the second kind integral, elementwise.
 
-    Descending Landen recursion: run the AGM on (1, k'), set
+    Descending Landen recursion: take k's AGM ladder, set
     phi_N = 2^N a_N u, then fold back through
     phi_{n-1} = (phi_n + asin(c_n/a_n sin phi_n))/2 to phi_0 = am(u, k).
     sn = sin phi_0, cn = cos phi_0, and dn = sqrt(k'^2 + k^2 cn^2) stays
@@ -149,59 +165,43 @@ def _landen_fold(u, k: float, complement: float):
     a form that does not cancel at small k:
     u - E = (u/2) sum_{n>=0} 2^n c_n^2 - sum_{n>=1} c_n sin phi_n.
     Below k' = 1e-12 these are the k = 1 limits tanh, sech, sech, u - tanh.
+    The ladder has the shape of k, not of u, and u and k broadcast.
     """
-    if complement < 1e-12:
-        sn, cn = np.tanh(u), 1.0 / np.cosh(u)
-        return sn, cn, cn.copy(), u - sn
-    a, b = 1.0, complement
-    a_list, c_list = [1.0], [k]
-    while len(a_list) < 64:
-        an, bn = 0.5 * (a + b), math.sqrt(a * b)
-        cn_ = 0.5 * (a - b)
-        a_list.append(an)
-        c_list.append(cn_)
-        a, b = an, bn
-        if cn_ <= 4.0 * _EPS * an:
-            break
-    n = len(a_list) - 1
-    phi = (2.0**n) * a_list[n] * u
+    levels = _ladder(k, complement)
+    n = len(levels) - 1
+    phi = (2.0**n) * levels[n][0] * u
     c_sin = 0.0
-    for i in range(n, 0, -1):
+    for a, c in levels[:0:-1]:
         sin_phi = np.sin(phi)
-        c_sin = c_sin + c_list[i] * sin_phi
+        c_sin = c_sin + c * sin_phi
         # |c_n| <= a_n in floating point too, so the arcsin argument needs no clip
-        phi = 0.5 * (phi + np.arcsin(c_list[i] / a_list[i] * sin_phi))
-    s = 0.5 * sum((2.0**i) * c * c for i, c in reversed(list(enumerate(c_list))))
+        phi = 0.5 * (phi + np.arcsin(c / a * sin_phi))
+    s = 0.5 * sum((2.0**i) * c * c for i, (_, c) in reversed(list(enumerate(levels))))
     cn = np.cos(phi)
-    return np.sin(phi), cn, np.sqrt(complement * complement + k * k * cn * cn), u * s - c_sin
-
-
-def _modulus(a, params: Params):
-    """Squared modulus and complement for amplitude a, in cancellation-safe form."""
-    al, be = params.alpha, params.beta
-    denom = 2.0 * be - al * a * a
-    m2 = al * a * a / denom
-    mc2 = 2.0 * al * (params.binodal - a) * (params.binodal + a) / denom
-    return m2, mc2
-
-
-def _wave_scale(a, params: Params):
-    return np.sqrt((2.0 * params.beta - params.alpha * a * a) / (2.0 * params.kappa))
+    out = np.sin(phi), cn, np.sqrt(complement * complement + k * k * cn * cn), u * s - c_sin
+    flat = np.asarray(complement) < 1e-12
+    if np.count_nonzero(flat):
+        sn, sech = np.tanh(u), 1.0 / np.cosh(u)
+        out = (np.where(flat, lim, f) for lim, f in zip((sn, sech, sech, u - sn), out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """Closed-form stationary wave phi(x) = a sn(h x, m) and its derivatives."""
+    """Closed-form stationary wave phi(x) = a sn(h x, m) and its derivatives,
+    elementwise over a family of waves when the fields are arrays."""
 
-    amplitude: float
-    modulus: float
-    complement: float
-    scale: float
+    amplitude: float | np.ndarray
+    modulus: float | np.ndarray
+    complement: float | np.ndarray
+    scale: float | np.ndarray
     params: Params
 
     @property
-    def period(self) -> float:
-        return period_of_amplitude(self.amplitude, self.params)
+    def period(self):
+        """p = 4 K(m)/h, K = pi/(2 a) at the last level of the modulus' ladder."""
+        p = 4.0 * (math.pi / (2.0 * _ladder(self.modulus, self.complement)[-1][0])) / self.scale
+        return float(p) if np.ndim(p) == 0 else p
 
     def with_derivatives(self, x):
         """Return (phi, phi_x, phi_xx) sampled at x, all in closed form.
@@ -216,48 +216,46 @@ class WaveProfile:
         phi_xx = self.params.df(phi) / self.params.kappa
         return phi, phi_x, phi_xx
 
-    def potential_integral(self, x: float) -> float:
-        """int_0^x F(phi) in closed form, for scalar x.
+    def potential_integral(self, x):
+        """int_0^x F(phi) in closed form, elementwise.
 
         With u = h x: int_0^u sn^2 = (u - E(am u, k))/k^2, u - E from
         _landen_fold, and 3 k^2 int_0^u sn^4 = 2 (1 + k^2) int_0^u sn^2 - u
         + sn cn dn(u); below k = 1e-12, the integrals of sin^2 and sin^4.
         """
-        u, k = x * self.scale, self.modulus
-        if k < 1e-12:
-            s2 = 0.5 * u - 0.25 * math.sin(2.0 * u)
-            s4 = 0.375 * u - 0.25 * math.sin(2.0 * u) + math.sin(4.0 * u) / 32.0
-        else:
-            sn, cn, dn, deficit = _landen_fold(u, k, self.complement)
-            s2 = deficit / (k * k)
-            s4 = (2.0 * (1.0 + k * k) * s2 - u + sn * cn * dn) / (3.0 * k * k)
+        u, k = x * self.scale, np.asarray(self.modulus)
+        small = k < 1e-12
+        k_safe = np.where(small, 1.0, k)[()]  # the small elements take the sin limits below
+        sn, cn, dn, deficit = _landen_fold(u, k, self.complement)
+        s2 = deficit / (k_safe * k_safe)
+        s4 = (2.0 * (1.0 + k_safe * k_safe) * s2 - u + sn * cn * dn) / (3.0 * k_safe * k_safe)
+        if np.count_nonzero(small):
+            s2 = np.where(small, 0.5 * u - 0.25 * np.sin(2.0 * u), s2)
+            s4 = np.where(small, 0.375 * u - 0.25 * np.sin(2.0 * u) + np.sin(4.0 * u) / 32.0, s4)
         a2 = self.amplitude * self.amplitude
         b2 = self.params.beta / self.params.alpha
         return self.params.alpha / (4.0 * self.scale) * (a2 * a2 * s4 - 2.0 * a2 * b2 * s2 + b2 * b2 * u)
 
 
-def periodic_wave(a: float, params: Params) -> WaveProfile:
-    """Stationary wave of amplitude a in (0, binodal)."""
-    if not 0.0 < a < params.binodal:
-        raise ValueError(f"amplitude must lie in (0, {params.binodal}), got {a}")
-    m2, mc2 = _modulus(a, params)
-    return WaveProfile(
-        amplitude=a,
-        modulus=math.sqrt(m2),
-        complement=math.sqrt(mc2),
-        scale=float(_wave_scale(a, params)),
-        params=params,
-    )
+def periodic_wave(a, params: Params) -> WaveProfile:
+    """Stationary wave of amplitude a in (0, binodal), elementwise in a."""
+    a = np.asarray(a, dtype=float)
+    bad = ~((0.0 < a) & (a < params.binodal))
+    if np.count_nonzero(bad):
+        raise ValueError(f"amplitude must lie in (0, {params.binodal}), got {a[bad][0]}")
+    al = params.alpha
+    denom = 2.0 * params.beta - al * a * a
+    m2 = al * a * a / denom
+    mc2 = 2.0 * al * (params.binodal - a) * (params.binodal + a) / denom  # cancellation-safe
+    scale = np.sqrt(denom / (2.0 * params.kappa))
+    # floats for one wave, arrays of a's shape for a family
+    fields = [float(f) if a.ndim == 0 else f for f in (a, np.sqrt(m2), np.sqrt(mc2), scale)]
+    return WaveProfile(*fields, params=params)
 
 
 def period_of_amplitude(a, params: Params):
     """Wave period p(a) = 4 K(m(a)) / h(a), elementwise; increasing in a."""
-    a = np.asarray(a, dtype=float)
-    if not np.all((0.0 < a) & (a < params.binodal)):
-        raise ValueError(f"amplitude must lie in (0, {params.binodal}), got {a}")
-    _, mc2 = _modulus(a, params)
-    p = 4.0 * (math.pi / (2.0 * _agm(np.sqrt(mc2)))) / _wave_scale(a, params)
-    return float(p) if p.ndim == 0 else p
+    return periodic_wave(a, params).period
 
 
 def amplitude_of_period(p, params: Params):

@@ -193,6 +193,7 @@ def test_usage_errors_exit_one(tmp_path, fast_config):
     ({"snapshot_times": "-1"}, "snapshot_times"),
     ({"snapshot_times": "inf"}, "snapshot_times"),
     ({"snapshot_times": "0.0041, 0.0042"}, "snapshot_times"),
+    ({"snapshot_times": "0.5"}, "snapshot_times"),
 ])
 def test_bad_config_value_exits_one_before_the_run(overrides, key, tmp_path, capsys):
     values = {"coupling": "uncoupled", "n": "64", "t_final": "0.01", "dt": "1e-3"}
@@ -211,6 +212,17 @@ def test_predict_bad_start_exits_one_naming_the_flag(method, flag, value, tmp_pa
     err = capsys.readouterr().err
     assert flag in err and len(err) < 200
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value", [("--p0", "-1"), ("--t0", "-5")])
+def test_fit_bad_start_exits_one_naming_the_flag(flag, value, tmp_path, capsys):
+    t = np.linspace(0.0, 10.0, 60)
+    path = tmp_path / "series.csv"
+    TimeSeries(t=t, period=p_fit(t, 3.0, 7.0, Params())).to_csv(path)
+    assert main(["fit", "--series", str(path), flag, value, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and len(err) < 200
+    assert not (tmp_path / "o").exists()
 
 
 def test_init_file_on_another_box_exits_one(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_uncoupled_forbids_velocity_init():
 
 
 def test_snapshot_times_parse():
-    cfg = parse_config("snapshot_times = 0, 0.5, 1.5\n")
+    cfg = parse_config("t_final = 2\nsnapshot_times = 0, 0.5, 1.5\n")
     assert cfg.snapshot_times == (0.0, 0.5, 1.5)
 
 
@@ -101,7 +101,7 @@ def test_explicit_values_override_defaults():
 
 
 def test_echo_is_reparse_stable():
-    cfg = parse_config(MINIMAL + "snapshot_times = 0.25, 0.5\n")
+    cfg = parse_config(MINIMAL + "snapshot_times = 0.25, 0.45\n")
     echoed = config_echo(cfg)
     again = parse_config(echoed)
     assert again == cfg.resolved()

@@ -204,7 +204,8 @@ def test_envelope_rows_survive_one_ulp_of_rounding(monkeypatch, kappa):
         rng = np.random.default_rng(seed)
 
         def nudged(a, params):
-            return float(np.nextafter(wave_window_energy(a, params), rng.choice([-np.inf, np.inf])))
+            e = wave_window_energy(a, params)
+            return np.nextafter(e, rng.choice([-np.inf, np.inf], size=np.shape(e)))
 
         monkeypatch.setattr(energy, "wave_window_energy", nudged)
         assert EnergyPeriodTable.build(params).env_periods.size == rows

@@ -1,10 +1,14 @@
 """Initial data: noise draws, energy-surface pre-evolution, velocity shapes."""
 
+import importlib
 import math
+import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import bchsim
 import bchsim.initial as initial
 from bchsim.config import SolverConfig
 from bchsim.energy import free_energy
@@ -144,6 +148,24 @@ def test_pre_evolve_step_budget_exhaustion(monkeypatch):
     assert isinstance(info.value, RuntimeError)
     target = initial._ENERGY_TARGET_FRAC * params.e_max
     assert target < info.value.best_energy <= e0
+
+
+def test_every_exported_exception_survives_pickling():
+    # a worker process hands its exception back pickled, so each exception
+    # class in an __all__ must come back with its type, message and attributes
+    extra = {DtUnderflowError: {"best_energy": 0.4}}
+    seen = set()
+    for info in pkgutil.iter_modules(bchsim.__path__):
+        module = importlib.import_module(f"bchsim.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            cls = getattr(module, name)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                exc = cls("step underflow", **extra.get(cls, {}))
+                back = pickle.loads(pickle.dumps(exc))
+                assert type(back) is cls
+                assert str(back) == str(exc) and vars(back) == vars(exc)
+                seen.add(cls)
+    assert DtUnderflowError in seen and len(seen) >= 3
 
 
 def test_build_initial_fields_uncoupled():

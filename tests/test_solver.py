@@ -231,11 +231,11 @@ def test_nan_velocity_raises_at_its_step():
 
 
 def test_run_rejects_snapshot_after_last_step():
-    # 0.01 / 9.7656e-5 rounds to 102 steps, so the run stops at t = 0.009961
-    cfg = SolverConfig(n=1024, coupling="advective", init_v="bump", t_final=0.01,
-                       snapshot_times=(0.0, 0.01))
-    with pytest.raises(ValueError, match=r"snapshot time 0\.01 .* t = 0\.00996"):
-        run(cfg)
+    # 0.01 / 9.7656e-5 rounds to 102 steps, so the run would stop at
+    # t = 0.009961; the config refuses the snapshot before any run starts
+    with pytest.raises(ValueError, match=r"snapshot_times 0\.01 .* t = 0\.00996"):
+        SolverConfig(n=1024, coupling="advective", init_v="bump", t_final=0.01,
+                     snapshot_times=(0.0, 0.01))
 
 
 _ALL_MODES = COUPLINGS

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
+from bchsim.energy import wave_window_energy
 from bchsim.waves import (
     Params,
     WaveProfile,
+    _landen_fold,
     amplitude_of_period,
     period_of_amplitude,
     periodic_wave,
@@ -217,3 +219,155 @@ def test_kink_energy_values(params):
 def test_spinodal_closes_the_loop(params):
     a_s = amplitude_of_period(params.p_s, params)
     assert period_of_amplitude(a_s, params) == pytest.approx(params.p_s, rel=1e-10)
+
+
+# The scalar elliptic code the array ladder replaced, kept as the reference
+# the ladder must match bit for bit: AGM(1, b) for K, a Landen fold that
+# builds its own ladder for one modulus, and int_0^x F(phi) for one wave.
+EPS = np.finfo(float).eps
+
+
+def agm_oracle(b):
+    b = np.array(b, dtype=float)
+    a = np.ones_like(b)
+    for _ in range(200):
+        live = a - b > 4.0 * EPS * a
+        if not np.count_nonzero(live):
+            break
+        a_next = 0.5 * (a + b)
+        np.copyto(b, np.sqrt(a * b), where=live)
+        np.copyto(a, a_next, where=live)
+    return 0.5 * (a + b)
+
+
+def landen_fold_oracle(u, k: float, complement: float):
+    if complement < 1e-12:
+        sn, cn = np.tanh(u), 1.0 / np.cosh(u)
+        return sn, cn, cn.copy(), u - sn
+    a, b = 1.0, complement
+    a_list, c_list = [1.0], [k]
+    while len(a_list) < 64:
+        an, bn = 0.5 * (a + b), math.sqrt(a * b)
+        cn_ = 0.5 * (a - b)
+        a_list.append(an)
+        c_list.append(cn_)
+        a, b = an, bn
+        if cn_ <= 4.0 * EPS * an:
+            break
+    n = len(a_list) - 1
+    phi = (2.0**n) * a_list[n] * u
+    c_sin = 0.0
+    for i in range(n, 0, -1):
+        sin_phi = np.sin(phi)
+        c_sin = c_sin + c_list[i] * sin_phi
+        phi = 0.5 * (phi + np.arcsin(c_list[i] / a_list[i] * sin_phi))
+    s = 0.5 * sum((2.0**i) * c * c for i, c in reversed(list(enumerate(c_list))))
+    cn = np.cos(phi)
+    return np.sin(phi), cn, np.sqrt(complement * complement + k * k * cn * cn), u * s - c_sin
+
+
+def sn_cn_dn_oracle(u, k: float, complement: float):
+    if k < 1e-12:
+        return np.sin(u), np.cos(u), np.ones_like(u)
+    return landen_fold_oracle(u, k, complement)[:3]
+
+
+def wave_oracle(a: float, params: Params):
+    """(modulus, complement, scale, period) of the amplitude-a wave."""
+    al, be = params.alpha, params.beta
+    denom = 2.0 * be - al * a * a
+    m2 = al * a * a / denom
+    mc2 = 2.0 * al * (params.binodal - a) * (params.binodal + a) / denom
+    scale = float(np.sqrt((2.0 * be - al * a * a) / (2.0 * params.kappa)))
+    period = 4.0 * (math.pi / (2.0 * agm_oracle(np.sqrt(mc2)))) / scale
+    return math.sqrt(m2), math.sqrt(mc2), scale, float(period)
+
+
+def potential_integral_oracle(wave: WaveProfile, x: float) -> float:
+    u, k = x * wave.scale, wave.modulus
+    if k < 1e-12:
+        s2 = 0.5 * u - 0.25 * math.sin(2.0 * u)
+        s4 = 0.375 * u - 0.25 * math.sin(2.0 * u) + math.sin(4.0 * u) / 32.0
+    else:
+        sn, cn, dn, deficit = landen_fold_oracle(u, k, wave.complement)
+        s2 = deficit / (k * k)
+        s4 = (2.0 * (1.0 + k * k) * s2 - u + sn * cn * dn) / (3.0 * k * k)
+    a2 = wave.amplitude * wave.amplitude
+    b2 = wave.params.beta / wave.params.alpha
+    return wave.params.alpha / (4.0 * wave.scale) * (a2 * a2 * s4 - 2.0 * a2 * b2 * s2 + b2 * b2 * u)
+
+
+def window_energy_oracle(a: float, params: Params) -> float:
+    """4 int_0^L F(phi) - 2 L F(a), the integral as the scalar code took it."""
+    if a == 0.0:
+        return params.e_max
+    k, complement, scale, _ = wave_oracle(a, params)
+    wave = WaveProfile(amplitude=a, modulus=k, complement=complement, scale=scale, params=params)
+    length = params.half_length
+    return 4.0 * potential_integral_oracle(wave, length) - 2.0 * length * params.f(a)
+
+
+@pytest.mark.parametrize("params", [Params(), Params(alpha=1.3, beta=0.7, kappa=5e-4,
+                                                     half_length=1.5)])
+def test_ladder_matches_the_scalar_code_bit_for_bit(params):
+    rng = np.random.default_rng(17)
+    b = params.binodal
+    amps = np.concatenate([
+        rng.uniform(1e-3, 0.999, 2500) * b,
+        b * -np.expm1(-rng.uniform(7.0, 36.0, 1000)),  # within 1e-3 to 1e-15 of the binodal
+        b * 10.0 ** -rng.uniform(3.0, 15.0, 500),  # below a ~ 1e-12, k < 1e-12
+    ])
+    amps = amps[amps < b]
+    assert amps.size >= 4000
+    k, complement, scale, period = np.array([wave_oracle(float(a), params) for a in amps]).T
+    assert np.count_nonzero(k < 1e-12) >= 50
+
+    wave = periodic_wave(amps, params)
+    assert np.array_equal(wave.modulus, k)
+    assert np.array_equal(wave.complement, complement)
+    assert np.array_equal(wave.scale, scale)
+    assert np.array_equal(period_of_amplitude(amps, params), period)
+    assert np.array_equal(wave.period, period)
+
+    # the fold at u = h L, with k' < 1e-12 and k < 1e-12 pairs besides
+    tiny = np.repeat([0.0, 1e-300, 1e-13, 5e-13], 25)
+    k = np.concatenate([k, np.sqrt((1.0 - tiny) * (1.0 + tiny)), tiny])
+    complement = np.concatenate([complement, tiny, np.sqrt((1.0 - tiny) * (1.0 + tiny))])
+    u = np.concatenate([params.half_length * scale, rng.uniform(-30.0, 30.0, 2 * tiny.size)])
+    oracle = np.array([landen_fold_oracle(*args) for args in zip(u, k, complement)]).T
+    for new, old in zip(_landen_fold(u, k, complement), oracle):
+        assert np.array_equal(new, old)
+    oracle = np.array([sn_cn_dn_oracle(*args) for args in zip(u, k, complement)]).T
+    for new, old in zip(sn_cn_dn(u, k, complement=complement), oracle):
+        assert np.array_equal(new, old)
+
+    # potential_integral on a family whose amplitudes leave every term of
+    # F(a sn)'s integral visible, in all three branches
+    wave = WaveProfile(amplitude=rng.uniform(0.05, 0.99, k.size) * b, modulus=k,
+                       complement=complement, scale=rng.uniform(5.0, 60.0, k.size), params=params)
+    oracle = [potential_integral_oracle(WaveProfile(*fields, params=params), 0.37)
+              for fields in zip(wave.amplitude, k, complement, wave.scale)]
+    assert np.array_equal(wave.potential_integral(0.37), oracle)
+
+    energies = [window_energy_oracle(float(a), params) for a in amps]
+    assert np.array_equal(wave_window_energy(amps, params), energies)
+    assert np.array_equal(wave_window_energy(np.append(amps[:5], 0.0), params),
+                          energies[:5] + [params.e_max])
+
+
+def test_ladder_on_one_wave_gives_floats_and_the_scalar_code(params):
+    for a in (1e-13, 0.3, 0.8, 0.99):
+        k, complement, scale, period = wave_oracle(a, params)
+        wave = periodic_wave(np.float64(a), params)
+        fields = (wave.amplitude, wave.modulus, wave.complement, wave.scale)
+        assert all(type(f) is float for f in fields)
+        assert (wave.modulus, wave.complement, wave.scale) == (k, complement, scale)
+        assert type(wave.period) is float and wave.period == period
+        energy = wave_window_energy(np.array(a), params)
+        assert type(energy) is float and energy == window_energy_oracle(a, params)
+        # one modulus across a grid of arguments, as the Evans transfer map samples it
+        x = np.linspace(-period, period, 2049)
+        for new, old in zip(sn_cn_dn(x * scale, k, complement=complement),
+                            sn_cn_dn_oracle(x * scale, k, complement)):
+            assert np.array_equal(new, old)
+    assert wave_window_energy(0.0, params) == params.e_max

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import io as runio
 from .config import SolverConfig, config_echo, parse_config_file
-from .energy import coarseness_table, free_energy, kohn_otto_length, period_from_energy, wave_window_energy
+from .energy import ClampWarning, coarseness_table, free_energy, kohn_otto_length
+from .energy import period_from_energy, wave_window_energy
 from .ensemble import compare_coupled, run_ensemble
 from .evans import EigTable, build_eig_table, default_amplitudes, half_map_steps
 from .grid import Field
@@ -338,7 +339,7 @@ def _cmd_measure(args) -> int:
     phi = _read("snapshot", runio.read_field, args.snapshot, "phi")
     energy = free_energy(phi, params)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", ClampWarning)
         period = period_from_energy(energy, coarseness_table(params))
     ko = kohn_otto_length(Field(phi.grid, phi.values - phi.mean()))
     out = _out_dir(args, "measure", None)

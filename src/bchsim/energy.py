@@ -9,12 +9,9 @@ amplitudes, and one call takes all their energies.  E decreases from
 e_max = 2 L F(0) at the shortest period toward the single-kink energy
 e_min in a staircase whose sharp drops line up with zero crossings leaving the window.
 Because E is not invertible, periods are assigned to energies through the
-infimum pseudoinverse p(e) = inf {p : E(p) <= e}; for time series we use
-the linear interpolant built on the monotone envelope of the tabulated
-curve.  The table's gap rule bounds energy gaps, not the period error:
-just below each plateau level p(e) is steep, and there the interpolant
-differs from period_from_energy by up to 4.9 % at kappa = 1e-3 and 5.2 %
-at kappa = 1e-4.
+infimum pseudoinverse p(e) = inf {p : E(p) <= e}.  period_from_energy
+brackets each energy in the table and bisects all of them on the amplitude
+at once; a run's period column, measure and criterion 10 share it.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ __all__ = [
 
 
 class ClampWarning(UserWarning):
-    """An energy fell outside (e_min, e_max] and was clamped."""
+    """An energy fell outside (e_floor, e_max] of the E(p) table and was clamped."""
 
 
 def free_energy(phi: Field, params: Params) -> float:
@@ -129,22 +126,16 @@ def plateau_slope_bound(a: float, params: Params) -> float:
 _GAP_FRACTION = 1.0 / 200.0
 _CAP_FRACTION = 1e-4
 _MAX_NODES = 4000
-# The envelope keeps a row only where it drops by more than this, relatively:
-# far above the few to few hundred ulps between neighbours on the flat steps
-# of E(p), so one ulp of rounding cannot add or drop a row there.
-_ENVELOPE_RTOL = 1e-12
 
 
 @dataclass
 class EnergyPeriodTable:
-    """Tabulated E(p) along the amplitude family, plus its monotone envelope."""
+    """Tabulated E(p) along the amplitude family, rows in increasing amplitude and period."""
 
     params: Params
     amplitudes: np.ndarray
     periods: np.ndarray
     energies: np.ndarray
-    env_periods: np.ndarray
-    env_energies: np.ndarray
     truncated: bool
 
     @classmethod
@@ -196,42 +187,21 @@ class EnergyPeriodTable:
         amps = np.concatenate(([0.0], a_of(us)))
         periods = np.concatenate(([params.p_min], period_of_amplitude(amps[1:], params)))
         energies = np.concatenate(([e_max], es))
-        order = np.argsort(periods)
-        amps, periods, energies = amps[order], periods[order], energies[order]
-
-        env = np.minimum.accumulate(energies)
-        keep = np.empty(env.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = env[1:] < env[:-1] * (1.0 - _ENVELOPE_RTOL)
         return cls(
             params=params,
             amplitudes=amps,
             periods=periods,
             energies=energies,
-            env_periods=periods[keep],
-            env_energies=env[keep],
             truncated=truncated,
         )
 
     @property
-    def e_max(self) -> float:
-        return float(self.env_energies[0])
-
-    @property
     def e_floor(self) -> float:
-        return float(self.env_energies[-1])
+        return float(self.energies.min())
 
     @property
     def p_cap(self) -> float:
-        return float(self.env_periods[-1])
-
-    def period_of_energy(self, e) -> np.ndarray:
-        """Envelope interpolant e -> p, clipped to the tabulated range."""
-        e = np.asarray(e, dtype=float)
-        ee = np.clip(e, self.e_floor, self.e_max)
-        # np.interp needs ascending abscissae; envelope energies descend.
-        out = np.interp(-ee, -self.env_energies, self.env_periods)
-        return float(out) if out.ndim == 0 else out
+        return float(self.periods[np.argmin(self.energies)])
 
 
 _TABLES: dict = {}
@@ -250,36 +220,45 @@ def coarseness_table(params: Params) -> EnergyPeriodTable:
     return _TABLES[key]
 
 
-def period_from_energy(e: float, table: EnergyPeriodTable) -> float:
-    """Infimum pseudoinverse p = inf {p >= p_min : E(p) <= e}.
+def period_from_energy(e, table: EnergyPeriodTable):
+    """Infimum pseudoinverse p = inf {p >= p_min : E(p) <= e}, elementwise.
 
-    Energies outside (e_min, e_max] are clamped to the table range with a
-    ClampWarning.  The first table cell crossing e is refined by bisection
-    on the amplitude, which E and p both follow without inverting p(a),
-    until the periods of the bracket ends agree to _PERIOD_RTOL.
+    Energies outside (e_floor, e_max) are clamped to p_min or p_cap, with a
+    ClampWarning for those above e_max or at or below e_floor.  Each other
+    energy's bracket is the first table cell where the running minimum of E
+    crosses it; all brackets are refined together by bisection on the
+    amplitude, which E and p both follow without inverting p(a).  An element
+    stops once its bracket periods agree to _PERIOD_RTOL, or once the
+    amplitude resolves no finer, as the near-binodal tail may.
     """
+    e = np.asarray(e, dtype=float)
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"energy must be finite, got {e[~np.isfinite(e)][0]}")
     params = table.params
-    if e >= table.e_max:
-        if e > table.e_max:
-            warnings.warn(f"energy {e} above e_max; clamping to p_min", ClampWarning)
-        return params.p_min
-    if e <= table.e_floor:
-        warnings.warn(f"energy {e} at or below the table floor; clamping to p_cap", ClampWarning)
-        return table.p_cap
-
-    idx = int(np.argmax(table.energies <= e))
+    if np.any(e > params.e_max):
+        warnings.warn(f"energy {e.max()} above e_max; clamping to p_min", ClampWarning)
+    if np.any(e <= table.e_floor):
+        warnings.warn(f"energy {e.min()} at or below e_floor; clamping to p_cap", ClampWarning)
+    p = np.where(e >= params.e_max, params.p_min, table.p_cap)
+    inside = (e < params.e_max) & (e > table.e_floor)
+    target = e[inside]
+    # the running minimum descends, so its negation ascends for searchsorted
+    idx = np.searchsorted(-np.minimum.accumulate(table.energies), -target)
     a_lo, a_hi = table.amplitudes[idx - 1], table.amplitudes[idx]
     p_lo, p_hi = table.periods[idx - 1], table.periods[idx]
-    while p_hi - p_lo > _PERIOD_RTOL * p_hi:
-        a_mid = 0.5 * (a_lo + a_hi)
-        if not a_lo < a_mid < a_hi:
-            break  # near the binodal the amplitude resolves no finer
+    live = np.flatnonzero(p_hi - p_lo > _PERIOD_RTOL * p_hi)
+    while live.size:
+        a_mid = 0.5 * (a_lo[live] + a_hi[live])
+        # near the binodal the amplitude resolves no finer
+        finer = (a_lo[live] < a_mid) & (a_mid < a_hi[live])
+        live, a_mid = live[finer], a_mid[finer]
         p_mid = period_of_amplitude(a_mid, params)
-        if wave_window_energy(a_mid, params) <= e:
-            a_hi, p_hi = a_mid, p_mid
-        else:
-            a_lo, p_lo = a_mid, p_mid
-    return float(p_hi)
+        down = wave_window_energy(a_mid, params) <= target[live]
+        a_hi[live[down]], p_hi[live[down]] = a_mid[down], p_mid[down]
+        a_lo[live[~down]], p_lo[live[~down]] = a_mid[~down], p_mid[~down]
+        live = live[p_hi[live] - p_lo[live] > _PERIOD_RTOL * p_hi[live]]
+    p[inside] = p_hi
+    return float(p) if p.ndim == 0 else p
 
 
 def kohn_otto_length(phi: Field) -> float:

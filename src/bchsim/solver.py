@@ -22,8 +22,8 @@ A run is a batch of one: run_batch steps runs that differ only in seed as
 the rows of (rows, n/4) spectra.
 
 Diagnostics recorded every record_every steps: free energy, kinetic
-energy, H1 seminorms, the period assigned to the free energy by the
-coarseness interpolant, and the discrete residual of the energy balance
+energy, H1 seminorms, the period of the free energy (period_from_energy,
+once after the run), and the discrete residual of the energy balance
 d/dt(.5 |v|^2 + K E) = -nu |v_x|^2 - K |mu_x|^2 (advective form).  Squared
 norms are Parseval sums over the band; the bulk int F(phi) is summed on the
 n points of the phi the next step transforms, which the record hands on.
@@ -32,12 +32,13 @@ n points of the phi the next step transforms, which the record hands on.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import COUPLINGS, SolverConfig
-from .energy import coarseness_table
+from .energy import ClampWarning, coarseness_table, period_from_energy
 from .grid import Field, Grid
 from .series import TimeSeries
 from .waves import Params
@@ -326,9 +327,12 @@ def _step_batch(configs: list[SolverConfig], outcomes: list) -> None:
                 snapshots[b].append(s)
 
     t = np.array(times)
-    cols["period"] = coarseness_table(params).period_of_energy(cols["free_energy"])
-    for b, final in zip(runs, snap(n_steps * dt)):
+    with warnings.catch_warnings():  # a run may leave the table: a coupled one falls below a kink
+        warnings.simplefilter("ignore", ClampWarning)
+        periods = period_from_energy(cols["free_energy"][runs], coarseness_table(params))
+    for b, period, final in zip(runs, periods, snap(n_steps * dt)):
         c = {name: col[b] for name, col in cols.items()}  # in the series' column order
+        c["period"] = period
         c["balance_residual"] = energy_balance_residual(
             t, c["kinetic_energy"] + params.K * c["free_energy"], c.pop("dissipation"))
         ok, tail = resolution_check(final)

@@ -123,7 +123,7 @@ def _ladder(k, complement):
     folding through them only halves phi, exactly.
     """
     # [()] makes one modulus a numpy scalar, whose arithmetic costs far less
-    # than a 0-d array's: the Evans search and period_from_energy build many
+    # than a 0-d array's: the Evans search builds many
     b = np.asarray(complement, dtype=float)[()]
     a, live = np.ones_like(b)[()], np.ones_like(b, dtype=bool)[()]
     levels = [(a, np.asarray(k, dtype=float)[()])]

@@ -65,6 +65,27 @@ def test_measure_prints_csv(tmp_path, fast_config, capsys):
     assert (tmp_path / "o" / "measure" / "m" / "measure.csv").read_text() == out_text
 
 
+def test_measure_gives_the_period_of_the_record_at_the_snapshot(tmp_path, capsys):
+    # a run's period column and measure share one energy -> period map; the
+    # two sum E differently (Parseval against a grid derivative), and at
+    # t = 0.5 both energies and both periods agree
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coupling = uncoupled\nn = 256\nt_final = 0.5\ndt = 1e-3\n"
+                   "record_every = 50\nseed = 0\nsnapshot_times = 0.5\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--name", "demo"]) == 0
+    run_dir = tmp_path / "o" / "simulate" / "demo"
+    record = TimeSeries.from_csv(run_dir / "series.csv")
+    assert record["t"][-1] == 0.5
+    capsys.readouterr()
+    assert main(["measure", "--snapshot", str(run_dir / "snap_0.5.csv"),
+                 "--out", str(tmp_path / "o"), "--name", "m"]) == 0
+    _, row = capsys.readouterr().out.strip().splitlines()
+    energy, period, _ = (float(v) for v in row.split(","))
+    assert energy == pytest.approx(record["free_energy"][-1], rel=1e-14)
+    assert period == pytest.approx(record["period"][-1], rel=1e-9)
+
+
 def test_fit_recovers_synthetic_curve(tmp_path, capsys):
     params = Params()
     t = np.linspace(0.0, 10.0, 60)

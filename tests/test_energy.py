@@ -184,31 +184,14 @@ def test_energy_scale_landmarks(params):
 def test_table_envelope_invariants(params, energy_table):
     t = energy_table
     assert not t.truncated
-    assert np.all(np.diff(t.env_periods) > 0)
-    assert np.all(np.diff(t.env_energies) <= 0)
-    assert t.env_periods[0] == pytest.approx(params.p_min, rel=1e-6)
-    assert t.env_energies[0] == pytest.approx(E_MAX, rel=1e-3)
+    assert np.all(np.diff(t.periods) > 0)
+    assert t.periods[0] == params.p_min
+    assert t.energies[0] == params.e_max
     # gap rule: adjacent energies differ by at most 1/200 of the range
-    gap = np.max(-np.diff(t.env_energies))
-    assert gap <= (t.e_max - t.e_floor) / 200.0 * (1.0 + 1e-9)
-
-
-@pytest.mark.parametrize("kappa", [1e-3, 5e-4, 1e-4, 1.117e-4])
-def test_envelope_rows_survive_one_ulp_of_rounding(monkeypatch, kappa):
-    # on the flat steps of E(p) neighbouring energies tie to the last bits
-    # (at kappa = 1.117e-4 two rows tie exactly); whether such a row joins
-    # the envelope must not hinge on one ulp
-    params = Params(kappa=kappa)
-    rows = EnergyPeriodTable.build(params).env_periods.size
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-
-        def nudged(a, params):
-            e = wave_window_energy(a, params)
-            return np.nextafter(e, rng.choice([-np.inf, np.inf], size=np.shape(e)))
-
-        monkeypatch.setattr(energy, "wave_window_energy", nudged)
-        assert EnergyPeriodTable.build(params).env_periods.size == rows
+    gap = np.max(np.abs(np.diff(t.energies)))
+    assert gap <= (params.e_max - params.e_min) / 200.0 * (1.0 + 1e-9)
+    assert t.e_floor == t.energies.min()
+    assert t.p_cap == t.periods[np.argmin(t.energies)]
 
 
 def test_table_matches_direct_evaluation(params, energy_table):
@@ -220,27 +203,21 @@ def test_table_matches_direct_evaluation(params, energy_table):
         period_of_amplitude(a, params), rel=1e-12)
 
 
-def test_period_of_energy_inverts_envelope(energy_table):
-    e = energy_table.env_energies[1:-1:7]
-    p = energy_table.period_of_energy(e)
-    assert np.allclose(p, energy_table.env_periods[1:-1:7], rtol=1e-10)
-
-
-def test_pseudoinverse_monotone(energy_table):
-    energies = np.linspace(energy_table.e_floor * 1.01, energy_table.e_max, 40)
+def test_pseudoinverse_monotone(params, energy_table):
+    energies = np.linspace(energy_table.e_floor * 1.01, params.e_max, 40)
     periods = [period_from_energy(float(e), energy_table) for e in energies]
     assert np.all(np.diff(periods) <= 1e-12)
 
 
 def test_pseudoinverse_at_e_max(params, energy_table):
-    p = period_from_energy(energy_table.e_max, energy_table)
+    p = period_from_energy(params.e_max, energy_table)
     assert p == pytest.approx(params.p_min, rel=1e-4)
 
 
-def test_pseudoinverse_clamps_with_warning(energy_table):
+def test_pseudoinverse_clamps_with_warning(params, energy_table):
     with pytest.warns(ClampWarning):
-        p_hi = period_from_energy(energy_table.e_max * 1.5, energy_table)
-    assert p_hi == pytest.approx(energy_table.env_periods[0])
+        p_hi = period_from_energy(params.e_max * 1.5, energy_table)
+    assert p_hi == pytest.approx(params.p_min)
     with pytest.warns(ClampWarning):
         p_lo = period_from_energy(energy_table.e_floor * 0.5, energy_table)
     assert p_lo == pytest.approx(energy_table.p_cap)
@@ -280,6 +257,68 @@ def test_pseudoinverse_matches_period_bisection(k, params, energy_table):
     a = amplitude_of_period(mine, params)
     ulp_step = period_of_amplitude(a, params) - period_of_amplitude(np.nextafter(a, 0.0), params)
     assert abs(mine - old) <= 2e-10 * old + ulp_step
+
+
+def _period_from_energy_one_at_a_time(e, table):
+    """The scalar amplitude bisection that the elementwise map runs on all energies at once."""
+    params = table.params
+    if e >= params.e_max:
+        return params.p_min
+    if e <= table.e_floor:
+        return table.p_cap
+    idx = int(np.argmax(table.energies <= e))
+    a_lo, a_hi = table.amplitudes[idx - 1], table.amplitudes[idx]
+    p_lo, p_hi = table.periods[idx - 1], table.periods[idx]
+    while p_hi - p_lo > energy._PERIOD_RTOL * p_hi:
+        a_mid = 0.5 * (a_lo + a_hi)
+        if not a_lo < a_mid < a_hi:
+            break  # near the binodal the amplitude resolves no finer
+        p_mid = period_of_amplitude(a_mid, params)
+        if wave_window_energy(a_mid, params) <= e:
+            a_hi, p_hi = a_mid, p_mid
+        else:
+            a_lo, p_lo = a_mid, p_mid
+    return float(p_hi)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1e-4])
+def test_pseudoinverse_on_arrays_matches_the_scalar_loop(kappa):
+    table = coarseness_table(Params(kappa=kappa))
+    e = np.linspace(table.e_floor, table.params.e_max, 4002)[1:-1]
+    oracle = np.array([_period_from_energy_one_at_a_time(float(x), table) for x in e])
+    assert np.array_equal(period_from_energy(e, table), oracle)
+    assert np.array_equal(period_from_energy(e[::-1].reshape(2, -1), table),
+                          oracle[::-1].reshape(2, -1))
+
+
+def test_pseudoinverse_of_one_energy_is_a_float(params, energy_table):
+    e = 0.5 * (energy_table.e_floor + params.e_max)
+    oracle = _period_from_energy_one_at_a_time(e, energy_table)
+    for one in (e, np.float64(e), np.array(e)):
+        p = period_from_energy(one, energy_table)
+        assert type(p) is float and p == oracle
+
+
+def test_pseudoinverse_clamps_both_edges_of_an_array(params, energy_table):
+    e_max, e_floor = params.e_max, energy_table.e_floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e_max itself is in range
+        assert np.array_equal(period_from_energy(np.array([e_max, e_max]), energy_table),
+                              [params.p_min, params.p_min])
+    edges = np.array([2.0 * e_max, e_max, e_floor, 0.5 * e_floor])
+    with pytest.warns(ClampWarning) as caught:
+        p = period_from_energy(edges, energy_table)
+    messages = " ".join(str(w.message) for w in caught)
+    assert "above e_max" in messages and "at or below e_floor" in messages
+    assert np.array_equal(p, [params.p_min, params.p_min, energy_table.p_cap, energy_table.p_cap])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pseudoinverse_refuses_non_finite_energies(bad, energy_table):
+    with pytest.raises(ValueError, match="energy must be finite"):
+        period_from_energy(bad, energy_table)
+    with pytest.raises(ValueError, match="energy must be finite"):
+        period_from_energy(np.array([0.3, bad]), energy_table)
 
 
 def test_plateau_bound_positive_denominator(params):

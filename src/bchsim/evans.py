@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _UNIT_CIRCLE_TOL = 1e-5
+# _step_polynomial builds this many steps at a time: a stage of a block is
+# 64 KiB, below malloc's 128 KiB mmap threshold, so rows reuse the heap's pages
+_BLOCK = 256
 # relative width at which the leading-eigenvalue bracket is closed
 _RTOL = 1e-6
 
@@ -88,9 +91,9 @@ def _step_polynomial(wave: WaveProfile, params: Params, rk_steps: int, x_end: fl
     in row 3, and F M puts -M[0] / kappa there.  A lambda^2 term would need
     F A0^j F with j <= 2, which is zero because the (0, 3) entry of a product
     of at most two A0 is; so row 0 of every stage's linear coefficient is zero,
-    and F adds nothing to it.  The stages are held as (degree, 4, 4, rk_steps),
-    so every row operation is one pass over long vectors of all steps; one
-    transpose at the end gives the layout _transfer multiplies in.
+    and F adds nothing to it.  The stages of a block of steps are held as
+    (degree, 4, 4, steps), so every row operation is one pass over long
+    vectors; each block is then transposed into the layout _transfer uses.
     """
     h = x_end / rk_steps
     x = 0.5 * h * np.arange(2 * rk_steps + 1)
@@ -114,21 +117,32 @@ def _step_polynomial(wave: WaveProfile, params: Params, rk_steps: int, x_end: fl
 
     # each stage is summed into poly as soon as it is made and then scaled
     # in place into the next stage's argument, so little is alive at a time
-    r1, r2, r4 = rows[:, 0:-1:2], rows[:, 1::2], rows[:, 2::2]
-    k = times_a(r1, np.broadcast_to(eye, (1, 4, 4, rk_steps)))
-    poly = k.copy()
-    k = times_a(r2, eye_plus(k, 0.5 * h))
-    poly += 2.0 * k
-    k = times_a(r2, eye_plus(k, 0.5 * h))
-    poly += 2.0 * k
-    k = times_a(r4, eye_plus(k, h))
-    poly += k
-    return np.ascontiguousarray(eye_plus(poly, h / 6.0).transpose(0, 3, 1, 2))
+    out = np.empty((2, rk_steps, 4, 4))
+    for s in range(0, rk_steps, _BLOCK):
+        e = min(s + _BLOCK, rk_steps)
+        block = rows[:, 2 * s:2 * e + 1]
+        r1, r2, r4 = block[:, 0:-1:2], block[:, 1::2], block[:, 2::2]
+        k = times_a(r1, np.broadcast_to(eye, (1, 4, 4, e - s)))
+        poly = k.copy()
+        k = times_a(r2, eye_plus(k, 0.5 * h))
+        poly += 2.0 * k
+        k = times_a(r2, eye_plus(k, 0.5 * h))
+        poly += 2.0 * k
+        k = times_a(r4, eye_plus(k, h))
+        poly += k
+        out[:, s:e] = eye_plus(poly, h / 6.0).transpose(0, 3, 1, 2)
+    return out
 
 
 def _transfer(poly: np.ndarray, lam: float) -> np.ndarray:
-    """Ordered product of the step propagators poly[0] + lam poly[1]."""
-    return _ordered_product(poly[0] + lam * poly[1])
+    """Ordered product of the step propagators poly[0] + lam poly[1].
+
+    The stack is formed in place, in one 128 KiB temporary at 1024 steps: with
+    a second one, most membership tests faulted in fresh pages.
+    """
+    mats = poly[1] * lam
+    mats += poly[0]
+    return _ordered_product(mats)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

@@ -134,6 +134,7 @@ def write_run(out_dir, result: RunResult, command: str = "simulate") -> dict:
         "seed": result.config.seed,
         "resolution_ok": bool(result.resolution_ok),
         "resolution_tail": float(result.resolution_tail),
+        "period_clamped": result.period_clamped,
         "t_final_reached": float(result.final_state.t),
         "snapshots": snap_files,
         "series": _series_summary(result.series),

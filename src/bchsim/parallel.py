@@ -3,9 +3,6 @@ and eigenvalue tables."""
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 __all__ = ["parallel_map"]
 
 
@@ -20,6 +17,9 @@ def parallel_map(fn, jobs, workers: int = 1) -> list:
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, jobs))

@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.optimize import minimize
 
 from .energy import energy_of_period, energy_scale
 from .evans import EigTable
@@ -205,8 +203,10 @@ def fit_pfit(series, params: Params, t_max: float = 20.0, p0: float | None = Non
 
     def objective(log_c) -> float:
         c1, c2 = math.exp(log_c[0]), math.exp(log_c[1])
-        resid = p_fit(tt, c1, c2, params, p0=p0, t0=t0) - pp
-        return float(trapezoid(resid**2 * weight, tt))
+        y = (p_fit(tt, c1, c2, params, p0=p0, t0=t0) - pp) ** 2 * weight
+        return float(np.sum(np.diff(tt) * (y[1:] + y[:-1]) / 2.0))
+
+    from scipy.optimize import minimize  # deferred: importing scipy costs ~0.5 s
 
     best = None
     for start in _STARTS:

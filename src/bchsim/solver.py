@@ -219,6 +219,7 @@ class RunResult:
     final_state: Snapshot
     resolution_ok: bool
     resolution_tail: float
+    period_clamped: int  # records with energy outside (e_floor, e_max): period is a clamp value
 
 
 def run(config: SolverConfig) -> RunResult:
@@ -327,10 +328,12 @@ def _step_batch(configs: list[SolverConfig], outcomes: list) -> None:
                 snapshots[b].append(s)
 
     t = np.array(times)
+    energies, table = cols["free_energy"][runs], coarseness_table(params)
     with warnings.catch_warnings():  # a run may leave the table: a coupled one falls below a kink
         warnings.simplefilter("ignore", ClampWarning)
-        periods = period_from_energy(cols["free_energy"][runs], coarseness_table(params))
-    for b, period, final in zip(runs, periods, snap(n_steps * dt)):
+        periods = period_from_energy(energies, table)
+    clamped = np.sum((energies <= table.e_floor) | (energies >= params.e_max), axis=-1)
+    for b, period, n_clamped, final in zip(runs, periods, clamped, snap(n_steps * dt)):
         c = {name: col[b] for name, col in cols.items()}  # in the series' column order
         c["period"] = period
         c["balance_residual"] = energy_balance_residual(
@@ -338,4 +341,5 @@ def _step_batch(configs: list[SolverConfig], outcomes: list) -> None:
         ok, tail = resolution_check(final)
         outcomes[b] = RunResult(config=configs[b], series=TimeSeries(t=t, **c),
                                 snapshots=snapshots[b], final_state=final,
-                                resolution_ok=ok, resolution_tail=tail)
+                                resolution_ok=ok, resolution_tail=tail,
+                                period_clamped=int(n_clamped))

@@ -9,6 +9,7 @@ from conftest import read_report
 
 import bchsim.cli as cli
 from bchsim.cli import main
+from bchsim.energy import coarseness_table
 from bchsim.ensemble import EnsembleReport
 from bchsim.grid import Grid
 from bchsim.predictors import p_fit
@@ -44,7 +45,34 @@ def test_simulate_writes_run(tmp_path, fast_config, capsys):
     report = read_report(out)
     assert report["command"] == "simulate"
     assert report["resolution_ok"] is True
+    assert report["period_clamped"] == 0  # every record's energy lies inside the table
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, phi, clamped", [
+    # phi = 1 has zero free energy, below the table's floor: every period is p_cap
+    ("flat", lambda x: np.ones_like(x), [True] * 6),
+    # the first record's energy lies above e_max, so its period is p_min; one
+    # step damps the rough mode and the later records lie inside the table
+    ("rough", lambda x: 0.3 * np.cos(40 * np.pi * x) + 0.1 * np.cos(np.pi * x),
+     [True] + [False] * 5),
+])
+def test_simulate_counts_the_records_whose_period_is_clamped(tmp_path, name, phi, clamped):
+    grid = Grid(256)
+    init = _field_file(tmp_path / f"{name}.csv", grid, phi(grid.x))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG + f"init_phi = file:{init}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--name", name]) == 0
+    out = tmp_path / "o" / "simulate" / name
+    series = TimeSeries.from_csv(out / "series.csv")
+    params = Params()
+    table = coarseness_table(params)
+    energy = series["free_energy"]
+    assert list((energy <= table.e_floor) | (energy >= params.e_max)) == clamped
+    assert np.all(series["period"][energy <= table.e_floor] == table.p_cap)
+    assert np.all(series["period"][energy >= params.e_max] == params.p_min)
+    assert read_report(out)["period_clamped"] == sum(clamped)
 
 
 def test_measure_prints_csv(tmp_path, fast_config, capsys):

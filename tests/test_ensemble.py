@@ -222,7 +222,7 @@ def _result_with_series(cfg: SolverConfig, series: TimeSeries) -> RunResult:
     g = Grid(cfg.n_eff)
     phi = Field(g, np.zeros(g.n))
     v = None if not cfg.coupled else Field(g, np.zeros(g.n))
-    return RunResult(cfg, series, [], Snapshot(cfg.t_final, phi, v), True, 0.0)
+    return RunResult(cfg, series, [], Snapshot(cfg.t_final, phi, v), True, 0.0, 0)
 
 
 def test_compare_report_ratio_semantics():
@@ -281,6 +281,25 @@ def test_compare_coupled_matched_draw():
     e_u = report.uncoupled.series["free_energy"][0]
     assert e_c == pytest.approx(e_u, rel=1e-12)
     assert len(report.rows()) == 2
+
+
+def test_compare_coupled_on_two_workers_matches_one():
+    # the two runs go to spawned workers, which import bchsim afresh
+    coupled = SolverConfig(coupling="advective", n=256, seed=6, init_v="bump",
+                           t_final=0.2, dt=1e-4, record_every=100)
+    twin = uncoupled_twin(coupled, dt=1e-4)
+    serial = compare_coupled(coupled, twin, thresholds=(0.3, 0.5))
+    pooled = compare_coupled(coupled, twin, thresholds=(0.3, 0.5), workers=2)
+    assert serial.uncoupled_crossings[1] is None  # one censored crossing
+    assert pooled.coupled_crossings == serial.coupled_crossings
+    assert pooled.uncoupled_crossings == serial.uncoupled_crossings
+    assert serial.coupled_fit is not None and serial.uncoupled_fit is not None
+    assert pooled.coupled_fit == serial.coupled_fit
+    assert pooled.uncoupled_fit == serial.uncoupled_fit
+    for side in ("coupled", "uncoupled"):
+        a, b = getattr(serial, side).series, getattr(pooled, side).series
+        assert a.names == b.names
+        assert all(np.array_equal(a[name], b[name]) for name in a.names)
 
 
 def test_detect_energy_drops_staircase():

@@ -29,7 +29,7 @@ def _tiny_result():
         period=np.array([0.3, 0.31, 0.33]),
     )
     snaps = [Snapshot(0.0, phi, v), Snapshot(0.5, phi, v)]
-    return RunResult(cfg, series, snaps, Snapshot(0.5, phi, v), True, 1.2e-16)
+    return RunResult(cfg, series, snaps, Snapshot(0.5, phi, v), True, 1.2e-16, 0)
 
 
 def test_run_directory_named_and_timestamped(tmp_path):

@@ -208,6 +208,37 @@ def test_fit_accepts_time_series(params):
     assert np.allclose(p_fit(t, result.c1, result.c2, params), p, rtol=1e-5)
 
 
+@pytest.mark.parametrize("size", [3, 4, 57, 1000, 20001])
+def test_fit_objective_is_the_trapezoid_rule_of_scipy_bit_for_bit(monkeypatch, params, size):
+    # fit_pfit writes the trapezoid rule out in numpy; on non-uniform grids it
+    # must give scipy.integrate.trapezoid's bits at every point Nelder-Mead visits
+    import scipy.optimize
+    from scipy.integrate import trapezoid
+
+    objectives = []
+    minimize = scipy.optimize.minimize
+
+    def spy(fun, **kwargs):
+        objectives.append(fun)
+        return minimize(fun, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    rng = np.random.default_rng(size)
+    t = np.sort(rng.uniform(0.0, 20.0, size))
+    p = p_fit(t, 2.0, 4.0, params) * (1.0 + 1e-3 * rng.standard_normal(size))
+    fit = fit_pfit((t, p), params)
+    weight = 1.0 / np.log1p(t)
+
+    def scipy_objective(c1, c2):
+        return float(trapezoid((p_fit(t, c1, c2, params) - p) ** 2 * weight, t))
+
+    assert len(objectives) == 2  # one per Nelder-Mead start
+    assert fit.objective == scipy_objective(fit.c1, fit.c2)
+    for log_c in rng.normal(size=(25, 2)):
+        expected = scipy_objective(math.exp(log_c[0]), math.exp(log_c[1]))
+        assert all(objective(log_c) == expected for objective in objectives)
+
+
 def test_fit_rejects_degenerate_input(params):
     t = np.linspace(0.1, 10.0, 50)
     with pytest.raises(ValueError):

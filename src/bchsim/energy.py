@@ -78,10 +78,14 @@ def wave_window_energy(a, params: Params):
     zero = a == 0.0
     # the zero state is no wave; any amplitude in range stands in for it
     wave = periodic_wave(np.where(zero, 0.5 * params.binodal, a), params)
-    length = params.half_length
-    e = 4.0 * wave.potential_integral(length) - 2.0 * length * params.f(wave.amplitude)
-    e = np.where(zero, params.e_max, e)
+    e = np.where(zero, params.e_max, _window_energy(wave))
     return float(e) if e.ndim == 0 else e
+
+
+def _window_energy(wave):
+    """wave_window_energy of an already built wave (family)."""
+    length = wave.params.half_length
+    return 4.0 * wave.potential_integral(length) - 2.0 * length * wave.params.f(wave.amplitude)
 
 
 def energy_of_period(p, params: Params):
@@ -252,8 +256,9 @@ def period_from_energy(e, table: EnergyPeriodTable):
         # near the binodal the amplitude resolves no finer
         finer = (a_lo[live] < a_mid) & (a_mid < a_hi[live])
         live, a_mid = live[finer], a_mid[finer]
-        p_mid = period_of_amplitude(a_mid, params)
-        down = wave_window_energy(a_mid, params) <= target[live]
+        wave = periodic_wave(a_mid, params)  # one wave gives both p and E
+        p_mid = wave.period
+        down = _window_energy(wave) <= target[live]
         a_hi[live[down]], p_hi[live[down]] = a_mid[down], p_mid[down]
         a_lo[live[~down]], p_lo[live[~down]] = a_mid[~down], p_mid[~down]
         live = live[p_hi[live] - p_lo[live] > _PERIOD_RTOL * p_hi[live]]

@@ -358,9 +358,11 @@ class EigTable:
             raise ValueError(f"{path}: the table holds non-finite values")
         if np.any(np.diff(data["period"]) <= 0.0):
             raise ValueError(f"{path}: periods must strictly increase")
-        kappa = float(data["kappa"][0])
-        if abs(kappa - params.kappa) > 1e-15 * kappa:
-            raise ValueError(f"table kappa {kappa} does not match params kappa {params.kappa}")
+        if np.any(data["lambda_max"] <= 0.0):
+            raise ValueError(f"{path}: lambda_max must be positive")
+        off = data["kappa"][np.abs(data["kappa"] - params.kappa) > 1e-15 * data["kappa"]]
+        if off.size:
+            raise ValueError(f"table kappa {off[0]} does not match params kappa {params.kappa}")
         return cls(amplitudes=data["amplitude"], periods=data["period"],
                    lambda_max=data["lambda_max"], params=params)
 

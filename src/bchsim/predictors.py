@@ -4,8 +4,8 @@ Three ways to predict the spacing growth p(t) once the dynamics has
 settled onto the slow wave-to-wave drift:
 
 * a closed-form logarithmic law driven by the tail interaction of kinks,
-* numerical integration of dp/dt = factor * lambda_max(p) * p using the
-  tabulated leading eigenvalue of the linearization,
+* the exact solution of dp/dt = factor * lambda_max(p) * p, cell by cell
+  of the tabulated leading eigenvalue of the linearization,
 * a two-parameter deformation of the closed form fitted to measured data.
 
 predicted_energy_curve starts each curve at a given (t0, p0).  Ensemble
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 VARIANTS = ("langer", "eig_full", "eig_half")
-# a rate-ODE step changes p by the local table spacing, clipped to [1e-4, _DP_MAX]
-_DP_MAX = 5e-4
 # Nelder--Mead starts of fit_pfit in (c1, c2)
 _STARTS = ((1.0, 1.0), (5.0, 5.0))
 
@@ -77,40 +75,32 @@ def p_fit(t, c1: float, c2: float, params: Params, p0: float | None = None, t0: 
 
 def _integrate_rate_ode(times: np.ndarray, table: EigTable, p0: float, t0: float,
                         factor: float) -> np.ndarray:
-    """RK4 for dp/dt = factor lambda(p) p, step capped by local table spacing."""
-    spacing = np.diff(table.periods)
-    warned = False
+    """dp/dt = factor lambda(p) p from (t0, p0) in closed form, cell by cell of the table.
 
-    def rate(p: float) -> float:
-        nonlocal warned
-        if not warned and p > table.periods[-1]:
-            warnings.warn(
-                f"period {p:.4f} left the table span (ends {table.periods[-1]:.4f}), "
-                "rate clamped to the last entry",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            warned = True
-        return factor * float(table.lambda_of_period(p)) * p
-
-    def dp_cap(p: float) -> float:
-        i = int(np.searchsorted(table.periods, p)) - 1
-        i = min(max(i, 0), spacing.size - 1)
-        return float(np.clip(spacing[i], 1e-4, _DP_MAX))
-
-    out = np.empty(times.size)
-    p, t_cur = float(p0), float(t0)
-    for i, t_next in enumerate(times):
-        while t_next - t_cur > 1e-14 * max(1.0, abs(t_next)):
-            k1 = rate(p)
-            h = t_next - t_cur if k1 <= 0 else min(t_next - t_cur, dp_cap(p) / k1)
-            k2 = rate(p + 0.5 * h * k1)
-            k3 = rate(p + 0.5 * h * k2)
-            k4 = rate(p + h * k3)
-            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_cur += h
-        out[i] = p
-    return out
+    On a cell [p_i, p_i+1] lambda = A + s p, so p / lambda(p) = (p_i / lambda_i)
+    e^{A tau} with tau = factor (t - T_i): the cell takes log1p(A x) / A to cross,
+    x = (p_i+1 - p_i) / (p_i lambda_i+1), and p = p_i + y p_i lambda_i / (1 - y p_i s)
+    with y = expm1(A tau) / A (y = tau where A = 0).  The first cell starts at p0.
+    Outside the table span lambda is clamped, s = 0; a curve that leaves it warns once.
+    """
+    nodes = np.concatenate(([p0], table.periods[table.periods > p0]))
+    lam = table.lambda_of_period(nodes)
+    slope = np.append(np.diff(lam) / np.diff(nodes), 0.0)
+    a = lam - slope * nodes
+    a_safe = np.where(a == 0.0, 1.0, a)
+    x = np.diff(nodes) / (nodes[:-1] * lam[1:])
+    cross = np.where(a[:-1] == 0.0, x, np.log1p(a[:-1] * x) / a_safe[:-1])
+    node_tau = np.concatenate(([0.0], np.cumsum(cross)))
+    tau = factor * (times - t0)
+    i = np.searchsorted(node_tau, tau, side="right") - 1
+    tau = tau - node_tau[i]
+    y = np.where(a[i] == 0.0, tau, np.expm1(a[i] * tau) / a_safe[i])
+    p = nodes[i] + y * nodes[i] * lam[i] / (1.0 - y * nodes[i] * slope[i])
+    end = table.periods[-1]
+    if np.any(p > end):
+        warnings.warn(f"period {p[p > end][0]:.4f} left the table span (ends {end:.4f}), "
+                      "rate clamped to the last entry", RuntimeWarning, stacklevel=3)
+    return p
 
 
 def predicted_energy_curve(t_grid, params: Params, variant: str, p0: float,
@@ -118,9 +108,10 @@ def predicted_energy_curve(t_grid, params: Params, variant: str, p0: float,
     """The (t, period, energy) curve of one predictor started at (t0, p0).
 
     "langer" is the logarithmic law, p_fit with c1 = c2 = 1.  "eig_full"
-    and "eig_half" integrate dp/dt = factor * lambda_max(p) * p with factor
-    1 and 1/2, lambda_max(p) interpolating eig_table; a period beyond the
-    table span clamps the rate to the last tabulated value and warns once.
+    and "eig_half" solve dp/dt = factor * lambda_max(p) * p with factor
+    1 and 1/2 exactly, lambda_max(p) the piecewise-linear interpolant of
+    eig_table; a period beyond the table span clamps the rate to the last
+    tabulated value and warns once.
     The energy is the wave energy per unit length at each period.
     """
     if variant not in VARIANTS:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,10 +154,30 @@ def test_eig_table_csv_round_trip(tmp_path, params, eig_table):
 def test_eig_table_csv_rejects_kappa_mismatch(tmp_path, params, eig_table):
     path = tmp_path / "table.csv"
     eig_table.to_csv(path)
-    from dataclasses import replace
-
     with pytest.raises(ValueError):
         EigTable.from_csv(path, replace(params, kappa=1e-4))
+
+
+def test_eig_table_csv_rejects_a_mixed_kappa_column(tmp_path, params, eig_table):
+    # the first row matches params; a later one does not
+    path = tmp_path / "table.csv"
+    eig_table.to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",0.0002"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="table kappa 0.0002 does not match params kappa 0.001"):
+        EigTable.from_csv(path, params)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3])
+def test_eig_table_csv_rejects_non_positive_lambda(tmp_path, params, eig_table, value):
+    # the closed-form rate curve divides by lambda at every table node
+    lam = eig_table.lambda_max.copy()
+    lam[-1] = value
+    path = tmp_path / "table.csv"
+    replace(eig_table, lambda_max=lam).to_csv(path)
+    with pytest.raises(ValueError, match="lambda_max must be positive"):
+        EigTable.from_csv(path, params)
 
 
 def test_rescaling_matches_direct_computation(params):

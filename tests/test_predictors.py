@@ -1,9 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-import bchsim.predictors as predictors
 from bchsim.energy import energy_of_period
 from bchsim.evans import EigTable
 from bchsim.predictors import (
@@ -20,14 +20,10 @@ from bchsim.waves import Params
 E_SPINODAL = 0.4219061143562932
 
 
-def _constant_rate_table(params: Params, rate: float) -> EigTable:
-    periods = np.linspace(params.p_min, 3.0, 50)
-    return EigTable(
-        amplitudes=np.linspace(0.01, 0.99, 50),
-        periods=periods,
-        lambda_max=np.full(50, rate),
-        params=params,
-    )
+def _table(params: Params, periods, lambda_max) -> EigTable:
+    periods = np.asarray(periods, dtype=float)
+    return EigTable(amplitudes=np.linspace(0.01, 0.99, periods.size), periods=periods,
+                    lambda_max=np.asarray(lambda_max, dtype=float), params=params)
 
 
 def _periods(t, params, variant, p0, t0=0.0, eig_table=None):
@@ -81,12 +77,12 @@ def test_eig_ode_constant_rate_closed_form(params):
     # with lambda(p) = const the ODE dp/dt = factor lambda p integrates to
     # an exact exponential
     rate = 0.05
-    table = _constant_rate_table(params, rate)
+    table = _table(params, np.linspace(params.p_min, 3.0, 50), np.full(50, rate))
     t = np.linspace(1.0, 21.0, 11)
     got = _periods(t, params, "eig_full", 0.3, t0=1.0, eig_table=table)
-    assert np.allclose(got, 0.3 * np.exp(rate * (t - 1.0)), rtol=1e-7)
+    np.testing.assert_allclose(got, 0.3 * np.exp(rate * (t - 1.0)), rtol=1e-14)
     got_half = _periods(t, params, "eig_half", 0.3, t0=1.0, eig_table=table)
-    assert np.allclose(got_half, 0.3 * np.exp(0.5 * rate * (t - 1.0)), rtol=1e-7)
+    np.testing.assert_allclose(got_half, 0.3 * np.exp(0.5 * rate * (t - 1.0)), rtol=1e-14)
 
 
 def test_eig_ode_half_is_time_rescaled_full(params, eig_table):
@@ -96,55 +92,85 @@ def test_eig_ode_half_is_time_rescaled_full(params, eig_table):
     full = _periods(t0 + deltas, params, "eig_full", params.p_s, t0=t0, eig_table=eig_table)
     half = _periods(t0 + 2.0 * deltas, params, "eig_half", params.p_s, t0=t0,
                     eig_table=eig_table)
-    assert np.allclose(half, full, rtol=1e-6)
+    np.testing.assert_allclose(half, full, rtol=1e-14)
 
 
-def test_eig_ode_step_refinement_converges(monkeypatch, params, eig_table):
-    t = np.array([0.0, 50.0, 100.0])
-    coarse = _periods(t, params, "eig_full", params.p_s, eig_table=eig_table)
-    monkeypatch.setattr(predictors, "_DP_MAX", 0.5 * predictors._DP_MAX)
-    fine = _periods(t, params, "eig_full", params.p_s, eig_table=eig_table)
-    assert np.max(np.abs(coarse / fine - 1.0)) < 1e-6
+@pytest.mark.parametrize("variant,factor", [("eig_full", 1.0), ("eig_half", 0.5)])
+def test_eig_ode_matches_quadrature_of_the_inverse_time(params, eig_table, variant, factor):
+    # t(p) = t0 + int_p0^p dq / (factor lambda(q) q), by adaptive quadrature
+    # on each interpolation cell, must land the curve on p
+    from scipy.integrate import quad
+
+    def lam(q):
+        return np.interp(q, eig_table.periods, eig_table.lambda_max)
+
+    p0, t0 = params.p_s, 1.0
+    targets = np.array([p0, 0.3, 0.45, 0.6, 0.8, 0.95])
+    times = []
+    for target in targets:
+        inner = eig_table.periods[(eig_table.periods > p0) & (eig_table.periods < target)]
+        edges = np.concatenate(([p0], inner, [target]))
+        times.append(t0 + math.fsum(
+            quad(lambda q: 1.0 / (factor * lam(q) * q), lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])))
+    got = _periods(np.array(times), params, variant, p0, t0=t0, eig_table=eig_table)
+    np.testing.assert_allclose(got, targets, rtol=1e-12)
 
 
-def _rk4_with_separate_step_lookup(times, table, p0, t0, factor):
-    """The rate-ODE loop that looks lambda up once for the step size and
-    again for k1; returns the series and the number of steps."""
-    spacing = np.diff(table.periods)
-
-    def rate(p):
-        return factor * float(table.lambda_of_period(p)) * p
-
-    def dp_cap(p):
-        i = min(max(int(np.searchsorted(table.periods, p)) - 1, 0), spacing.size - 1)
-        return float(np.clip(spacing[i], 1e-4, predictors._DP_MAX))
-
-    out, p, t_cur, steps = [], float(p0), float(t0), 0
-    for t_next in times:
-        while t_next - t_cur > 1e-14 * max(1.0, abs(t_next)):
-            r = rate(p)
-            h = t_next - t_cur if r <= 0 else min(t_next - t_cur, dp_cap(p) / r)
-            k1 = rate(p)
-            k2 = rate(p + 0.5 * h * k1)
-            k3 = rate(p + 0.5 * h * k2)
-            k4 = rate(p + h * k3)
-            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_cur += h
-            steps += 1
-        out.append(p)
-    return np.array(out), steps
+@pytest.mark.parametrize("variant,factor", [("eig_full", 1.0), ("eig_half", 0.5)])
+def test_eig_ode_rate_proportional_to_period(params, variant, factor):
+    # lambda = c p on dyadic nodes makes A = lambda - s p exactly 0 in every
+    # cell, and dp/dt = factor c p^2 gives p0 / (1 - factor c p0 (t - t0))
+    c, p0, t0 = 0.5, 0.5, 2.0
+    periods = np.arange(2, 25) / 8.0
+    table = _table(params, periods, c * periods)
+    t = t0 + np.linspace(0.0, 3.2, 17) / factor
+    got = _periods(t, params, variant, p0, t0=t0, eig_table=table)
+    np.testing.assert_allclose(got, p0 / (1.0 - factor * c * p0 * (t - t0)), rtol=1e-14)
 
 
-def test_eig_ode_looks_lambda_up_four_times_per_step(monkeypatch, params, eig_table):
-    t = np.linspace(0.0, 100.0, 201)
-    expected, steps = _rk4_with_separate_step_lookup(t, eig_table, params.p_s, 0.0, 1.0)
-    calls = []
-    lookup = EigTable.lambda_of_period
-    monkeypatch.setattr(EigTable, "lambda_of_period",
-                        lambda self, p: calls.append(p) or lookup(self, p))
-    got = _periods(t, params, "eig_full", params.p_s, eig_table=eig_table)
-    assert np.array_equal(got, expected)
-    assert len(calls) == 4 * steps
+@pytest.mark.parametrize("variant,factor", [("eig_full", 1.0), ("eig_half", 0.5)])
+def test_eig_ode_start_beyond_the_last_node_grows_exponentially(params, variant, factor):
+    # past the table the rate is clamped to the last entry
+    table = _table(params, np.linspace(params.p_min, 1.0, 50), np.linspace(1.0, 0.05, 50))
+    p0, t0 = 1.2, 1.0
+    t = np.linspace(t0, 11.0, 6)
+    with pytest.warns(RuntimeWarning, match="left the table span"):
+        got = _periods(t, params, variant, p0, t0=t0, eig_table=table)
+    np.testing.assert_allclose(got, p0 * np.exp(factor * 0.05 * (t - t0)), rtol=1e-14)
+
+
+def test_eig_ode_start_below_the_first_node(params):
+    # below the table the rate is clamped to the first entry: exponential
+    # growth to the first node, then the curve started there
+    table = _table(params, np.linspace(0.5, 3.0, 50), np.linspace(2.0, 0.05, 50))
+    p0, t0 = 0.3, 1.0
+    t_node = t0 + math.log(0.5 / p0) / 2.0
+    early = np.linspace(t0, t_node, 5)[:-1]
+    got = _periods(early, params, "eig_full", p0, t0=t0, eig_table=table)
+    np.testing.assert_allclose(got, p0 * np.exp(2.0 * (early - t0)), rtol=1e-14)
+    late = t_node + np.array([0.0, 0.1, 0.5, 2.0])
+    got = _periods(late, params, "eig_full", p0, t0=t0, eig_table=table)
+    from_node = _periods(late, params, "eig_full", 0.5, t0=t_node, eig_table=table)
+    np.testing.assert_allclose(got, from_node, rtol=1e-13)
+
+
+def test_eig_ode_warns_once_when_it_leaves_the_table(params):
+    table = _table(params, np.linspace(params.p_min, 1.0, 50), np.linspace(1.0, 0.05, 50))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inside = _periods(np.linspace(0.0, 0.5, 6), params, "eig_full", 0.8, eig_table=table)
+        assert inside[-1] < 1.0
+        assert not caught
+        beyond = _periods(np.linspace(0.0, 10.0, 41), params, "eig_full", 0.8, eig_table=table)
+    assert np.count_nonzero(beyond > 1.0) > 1
+    assert len(caught) == 1
+    assert caught[0].category is RuntimeWarning
+    past = beyond[beyond > 1.0]
+    assert str(caught[0].message).startswith(
+        f"period {past[0]:.4f} left the table span (ends 1.0000)")
+    # past the table the rate is the last entry's: 0.05 over each step of 0.25
+    np.testing.assert_allclose(past[1:] / past[:-1], math.exp(0.05 * 0.25), rtol=1e-14)
 
 
 def test_eig_ode_rejects_bad_grids(params, eig_table):

@@ -322,7 +322,7 @@ def _cmd_evans_table(args) -> int:
     _, params = _params_for(args)
     amps = default_amplitudes(params, da=args.da, p_max=args.p_max)
     table = build_eig_table(params, amplitudes=amps, rk_steps=args.rk_steps,
-                            p_max=args.p_max, workers=max(1, args.threads))
+                            workers=max(1, args.threads))
     out = _out_dir(args, "evans", None)
     table.to_csv(out / "table.csv")
     runio.write_report(out, {

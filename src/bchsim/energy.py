@@ -201,11 +201,14 @@ class EnergyPeriodTable:
 
     @property
     def e_floor(self) -> float:
-        return float(self.energies.min())
+        """The energy of the first row within 1e-12 (e_max - e_min) of the minimum: E(p)
+        is flat to rounding near the binodal, where one ulp can move the first minimum."""
+        tol = 1e-12 * (self.params.e_max - self.params.e_min)
+        return float(self.energies[self.energies <= self.energies.min() + tol][0])
 
     @property
     def p_cap(self) -> float:
-        return float(self.periods[np.argmin(self.energies)])
+        return float(self.periods[np.argmax(self.energies <= self.e_floor)])
 
 
 _TABLES: dict = {}

@@ -183,12 +183,11 @@ def evans(
     xi: float,
     a: float,
     params: Params,
-    rk_steps: int = 2048,
     mono: Monodromy | None = None,
 ) -> complex:
     """Evans determinant D(lam, xi) = det(M(lam) - e^{i xi p} I)."""
     if mono is None:
-        mono = monodromy(lam, a, params, rk_steps)
+        mono = monodromy(lam, a, params)
     z = np.exp(1j * xi * mono.period)
     return complex(np.linalg.det(mono.matrix - z * np.eye(4)))
 
@@ -339,10 +338,8 @@ class EigTable:
     params: Params
 
     def lambda_of_period(self, p) -> np.ndarray:
-        """Monotone interpolant p -> lambda_max, clamped to the table span."""
-        p = np.asarray(p, dtype=float)
-        pp = np.clip(p, self.periods[0], self.periods[-1])
-        out = np.interp(pp, self.periods, self.lambda_max)
+        """Monotone interpolant p -> lambda_max, held at the end values beyond the table."""
+        out = np.interp(p, self.periods, self.lambda_max)
         return float(out) if out.ndim == 0 else out
 
     def to_csv(self, path) -> None:
@@ -397,7 +394,6 @@ def build_eig_table(
     params: Params,
     amplitudes: np.ndarray | None = None,
     rk_steps: int = 2048,
-    p_max: float | None = None,
     workers: int = 1,
 ) -> EigTable:
     """Tabulate the leading eigenvalue with amplitude continuation.
@@ -409,7 +405,7 @@ def build_eig_table(
     parallel.
     """
     if amplitudes is None:
-        amplitudes = default_amplitudes(params, p_max=p_max)
+        amplitudes = default_amplitudes(params)
     amplitudes = np.asarray(amplitudes, dtype=float)
     n = amplitudes.size
     values = np.full(n, np.nan)

@@ -19,7 +19,7 @@ forming them there and truncating is their exact projection; the Burgers
 term is taken as (v^2/2)_x, which projects exactly as v v_x does.
 
 A run is a batch of one: run_batch steps runs that differ only in seed as
-the rows of (rows, n/4) spectra.
+the rows of (rows, n/4) spectra, and ends the runs of the rows a step faults.
 
 Diagnostics recorded every record_every steps: free energy, kinetic
 energy, H1 seminorms, the period of the free energy (period_from_energy,
@@ -56,7 +56,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Time integration failed (CFL violation, non-finite fields, ...)."""
+    """Time integration failed (CFL violation, non-finite fields, ...).  One from
+    Stepper.advance has rows, each faulted row's message; it reads the first."""
 
 
 class Stepper:
@@ -109,7 +110,7 @@ class Stepper:
 
         phi and cubic_hat, the grid values and P[phi^3] of phi_hat, are
         taken as given when a record has made them.  Raises SolverError
-        on a CFL violation or non-finite v in any row.
+        on a CFL violation or non-finite v, naming every row at fault.
         """
         if phi is None:
             phi = self.physical(phi_hat)
@@ -119,14 +120,16 @@ class Stepper:
             return new_phi, None
 
         v = self.physical(v_hat)
-        v_max = np.max(np.abs(v), axis=-1, keepdims=True)
+        v_max = np.max(np.abs(v), axis=-1)
         bad = ~(self.dt * np.maximum(v_max, 1.0) <= self.grid.dx * (1.0 + 1e-12))
         if bad.any():
-            m = float(v_max[bad][0])  # the first row at fault
-            if not math.isfinite(m):
-                raise SolverError(f"non-finite velocity: max |v| = {m}")
-            raise SolverError(f"CFL violation: dt = {self.dt:g} exceeds dx / max(|v|, 1) = "
-                              f"{self.grid.dx / max(m, 1.0):g}")
+            rows = {int(r): f"non-finite velocity: max |v| = {m}" if not math.isfinite(m) else
+                    f"CFL violation: dt = {self.dt:g} exceeds dx / max(|v|, 1) = "
+                    f"{self.grid.dx / max(m, 1.0):g}"
+                    for r, m in zip(np.flatnonzero(bad), v_max[bad].tolist())}
+            fault = SolverError(rows[min(rows)])
+            fault.rows = rows
+            raise fault
 
         mu_hat = self.mu_hat(phi_hat, cubic_hat)
         if self.coupling_mode == "div2":
@@ -296,18 +299,9 @@ def _step_batch(configs: list[SolverConfig], outcomes: list) -> None:
         if i:
             try:
                 phi_hat, v_hat = stepper.advance(phi_hat, v_hat, phi, cubic_hat)
-            except SolverError:  # a CFL fault: each row steps alone to show its own
-                faults = {}
-                for r in range(runs.size):
-                    try:
-                        stepper.advance(phi_hat[r], v_hat[r])
-                    except SolverError as exc:
-                        faults[r] = str(exc)
-                if not faults:
-                    raise
-                drop(faults)
-                if runs.size:
-                    phi_hat, v_hat = stepper.advance(phi_hat, v_hat, phi, cubic_hat)
+            except SolverError as fault:  # the velocity at t = (i - 1) dt broke the CFL limit
+                drop({r: f"{message} at t = {(i - 1) * dt:g}" for r, message in fault.rows.items()})
+                phi_hat, v_hat = stepper.advance(phi_hat, v_hat, phi, cubic_hat)  # rows left, if any
             phi = cubic_hat = None
             faults = {}
             for name, hat in (("phase field", phi_hat), ("velocity", v_hat)):

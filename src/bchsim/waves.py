@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,7 +147,7 @@ def sn_cn_dn(u, k, *, complement=None):
         if not np.all((0.0 <= k) & (k <= 1.0)):
             raise ValueError(f"modulus must lie in [0, 1], got {k}")
         complement = np.sqrt((1.0 - k) * (1.0 + k))
-    sn, cn, dn, _ = _landen_fold(u, k, complement)
+    sn, cn, dn, _ = _landen_fold(u, _ladder(k, complement), complement)
     small = np.asarray(k) < 1e-12
     if np.count_nonzero(small):
         sn, cn, dn = (np.where(small, lim, f) for lim, f in
@@ -154,10 +155,10 @@ def sn_cn_dn(u, k, *, complement=None):
     return sn, cn, dn
 
 
-def _landen_fold(u, k, complement):
+def _landen_fold(u, levels, complement):
     """sn, cn, dn at u and u - E(am u, k), E the second kind integral, elementwise.
 
-    Descending Landen recursion: take k's AGM ladder, set
+    Descending Landen recursion through levels, the AGM ladder of k: set
     phi_N = 2^N a_N u, then fold back through
     phi_{n-1} = (phi_n + asin(c_n/a_n sin phi_n))/2 to phi_0 = am(u, k).
     sn = sin phi_0, cn = cos phi_0, and dn = sqrt(k'^2 + k^2 cn^2) stays
@@ -167,7 +168,7 @@ def _landen_fold(u, k, complement):
     Below k' = 1e-12 these are the k = 1 limits tanh, sech, sech, u - tanh.
     The ladder has the shape of k, not of u, and u and k broadcast.
     """
-    levels = _ladder(k, complement)
+    k = levels[0][1]
     n = len(levels) - 1
     phi = (2.0**n) * levels[n][0] * u
     c_sin = 0.0
@@ -197,10 +198,15 @@ class WaveProfile:
     scale: float | np.ndarray
     params: Params
 
+    @cached_property
+    def _levels(self):
+        """The AGM ladder of the modulus, built once for period and potential_integral."""
+        return _ladder(self.modulus, self.complement)
+
     @property
     def period(self):
         """p = 4 K(m)/h, K = pi/(2 a) at the last level of the modulus' ladder."""
-        p = 4.0 * (math.pi / (2.0 * _ladder(self.modulus, self.complement)[-1][0])) / self.scale
+        p = 4.0 * (math.pi / (2.0 * self._levels[-1][0])) / self.scale
         return float(p) if np.ndim(p) == 0 else p
 
     def with_derivatives(self, x):
@@ -226,7 +232,7 @@ class WaveProfile:
         u, k = x * self.scale, np.asarray(self.modulus)
         small = k < 1e-12
         k_safe = np.where(small, 1.0, k)[()]  # the small elements take the sin limits below
-        sn, cn, dn, deficit = _landen_fold(u, k, self.complement)
+        sn, cn, dn, deficit = _landen_fold(u, self._levels, self.complement)
         s2 = deficit / (k_safe * k_safe)
         s4 = (2.0 * (1.0 + k_safe * k_safe) * s2 - u + sn * cn * dn) / (3.0 * k_safe * k_safe)
         if np.count_nonzero(small):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -311,6 +312,26 @@ def test_pseudoinverse_clamps_both_edges_of_an_array(params, energy_table):
     messages = " ".join(str(w.message) for w in caught)
     assert "above e_max" in messages and "at or below e_floor" in messages
     assert np.array_equal(p, [params.p_min, params.p_min, energy_table.p_cap, energy_table.p_cap])
+
+
+def test_p_cap_ignores_a_change_of_rounding_in_any_energy():
+    # E(p) is flat to rounding in this table's tail: rows 396-404 lie within
+    # 125 ulps of the minimum, at row 404, and the cap row, the first within
+    # the tolerance, is row 395
+    table = EnergyPeriodTable.build(Params(alpha=1.3, beta=0.7, kappa=1e-4, half_length=1.5))
+    row = int(np.flatnonzero(table.periods == table.p_cap)[0])
+    assert (row, int(np.argmin(table.energies))) == (395, 404)
+    assert table.e_floor == table.energies[row]
+    for i in range(table.energies.size):
+        for ulps in (-128, -1, 1, 128):
+            energies = table.energies.copy()
+            energies[i] += ulps * np.spacing(energies[i])
+            assert replace(table, energies=energies).p_cap == table.p_cap, (i, ulps)
+    # the clamp edge: energies just above the floor map to periods no longer than p_cap
+    above = table.e_floor + np.array([1e-14, 1e-12, 1e-10])
+    with pytest.warns(ClampWarning, match="at or below e_floor"):
+        p = period_from_energy(np.append(table.e_floor, above), table)
+    assert p[0] == table.p_cap and np.all(np.diff(p) <= 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

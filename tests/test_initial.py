@@ -23,6 +23,7 @@ from bchsim.initial import (
     random_fourier_velocity,
     random_phase_init,
 )
+from bchsim.solver import Stepper
 from bchsim.waves import Params
 
 X_PEAK = math.sqrt(2.0 - math.sqrt(3.0))
@@ -148,6 +149,46 @@ def test_pre_evolve_step_budget_exhaustion(monkeypatch):
     assert isinstance(info.value, RuntimeError)
     target = initial._ENERGY_TARGET_FRAC * params.e_max
     assert target < info.value.best_energy <= e0
+    with pytest.raises(DtUnderflowError) as oracle:
+        pre_evolve_oracle(phi0, params)
+    assert np.array_equal(info.value.best_energy, oracle.value.best_energy)
+
+
+def pre_evolve_oracle(phi: Field, params: Params) -> Field:
+    """pre_evolve_to_energy as a Field and free_energy loop: each candidate is
+    stepped from its spectrum alone, made a Field and transformed again for
+    its energy."""
+    grid = phi.grid
+    target = initial._ENERGY_TARGET_FRAC * params.e_max
+    tol = initial._ENERGY_TOL
+    energy = free_energy(phi, params)
+    if abs(energy - target) <= tol:
+        return phi
+    dt = initial._DT0
+    stepper = Stepper(grid, params, dt, "uncoupled")
+    phi_hat = grid.spectral(phi.values)
+    best = energy
+    for _ in range(initial._MAX_STEPS):
+        cand_hat, _ = stepper.advance(phi_hat, None)
+        cand = Field(grid, grid.physical(cand_hat))
+        cand_energy = free_energy(cand, params)
+        if abs(cand_energy - target) <= tol:
+            return cand
+        if cand_energy < target - tol:
+            dt *= 0.5
+            stepper = Stepper(grid, params, dt, "uncoupled")
+            continue
+        phi_hat, best = cand_hat, cand_energy
+    raise DtUnderflowError("step budget spent", best_energy=best)
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_pre_evolve_matches_the_field_and_free_energy_loop(n):
+    g, params = Grid(n), Params()
+    for seed in range(10):
+        phi0 = random_phase_init(g, _rng(seed))
+        assert np.array_equal(pre_evolve_to_energy(phi0, params).values,
+                              pre_evolve_oracle(phi0, params).values), seed
 
 
 def test_every_exported_exception_survives_pickling():

@@ -4,12 +4,15 @@ A name in a submodule's ``__all__`` must be referenced, other than by its
 own definition, in the package, the benchmark harness, the scripts or the
 acceptance tests.  So must every method, property and dataclass field of
 a public class.  A public name that only its own unit tests read is
-surface the program does not need.
+surface the program does not need.  So is a defaulted parameter of a
+public function or method that no call there passes: a knob only tests
+turn.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -146,3 +149,71 @@ def test_every_public_class_member_is_read_outside_its_unit_tests():
                 classes[f"{module_name}.{name}"] = members(obj)
     unread = unread_members(classes, [path.read_text() for path in READERS])
     assert [m for m in unread if m not in UNREAD_MEMBERS_KEPT] == []
+
+
+def defaulted(fn, method: bool = False) -> list[tuple[str, int | None]]:
+    """The defaulted parameters of fn, each with its position in a call, None
+    for a keyword-only one.  A method's position does not count self."""
+    params = list(inspect.signature(fn).parameters.values())[int(method):]
+    return [(p.name, i if p.kind is p.POSITIONAL_OR_KEYWORD else None)
+            for i, p in enumerate(params)
+            if p.default is not p.empty and p.kind is not p.VAR_KEYWORD]
+
+
+def unpassed(knobs: dict[str, list[tuple[str, int | None]]], sources: list[str]) -> list[str]:
+    """The name(parameter) entries of knobs that no call in sources passes.
+
+    A call counts for the function or method of its called name, the last
+    part of each knobs key.  It passes a parameter by keyword, by a
+    positional argument at that parameter's position, or by unpacking.
+    """
+    calls = [node for text in sources for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call)]
+    out = []
+    for key, params in knobs.items():
+        name = key.rsplit(".", 1)[-1]
+        mine = [c for c in calls if getattr(c.func, "id", getattr(c.func, "attr", None)) == name]
+        for param, position in params:
+            if not any(any(k.arg in (param, None) for k in c.keywords)
+                       or (position is not None
+                           and (len(c.args) > position
+                                or any(isinstance(a, ast.Starred) for a in c.args)))
+                       for c in mine):
+                out.append(f"{key}({param})")
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_outside_its_unit_tests():
+    # the guard's own control: a knob only a test sets, beside one passed by
+    # keyword, one passed by position and a keyword-only one
+    def planted(x, by_keyword=1, by_position=2, test_only=3, *, keyword_only=4):
+        return x
+
+    class Planted:
+        def method(self, x, by_position=1):
+            return x
+
+    knobs = {"grid.planted": defaulted(planted),
+             "grid.Planted.method": defaulted(Planted.method, method=True)}
+    assert knobs["grid.planted"] == [("by_keyword", 1), ("by_position", 2), ("test_only", 3),
+                                     ("keyword_only", None)]
+    caller = ("grid.planted(0, by_keyword=1, keyword_only=2)\nplanted(0, 1, 2)\n"
+              "obj.method(0, 5)\ntest_only = 3\n")
+    test = "planted(0, test_only=5)\n"
+    assert unpassed(knobs, [caller]) == ["grid.planted(test_only)"]
+    assert unpassed(knobs, [caller, test]) == []
+
+    knobs = {}
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"bchsim.{module_name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, types.FunctionType):
+                knobs[f"{module_name}.{name}"] = defaulted(obj)
+            elif isinstance(obj, type):
+                for member, value in vars(obj).items():
+                    fn = getattr(value, "__func__", value)  # a classmethod's or staticmethod's
+                    if isinstance(fn, types.FunctionType) and not member.startswith("__"):
+                        knobs[f"{module_name}.{name}.{member}"] = defaulted(
+                            fn, method=not isinstance(value, staticmethod))
+    assert unpassed(knobs, [path.read_text() for path in READERS]) == []

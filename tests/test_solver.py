@@ -1,3 +1,5 @@
+import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +402,64 @@ def test_a_cfl_fault_in_one_row_ends_that_run_only(monkeypatch):
     for a, b in zip(alone, (batched[0], batched[2])):
         for name in a.series.names:
             assert np.array_equal(a.series[name], b.series[name]), name
+
+
+def test_advance_names_every_row_at_fault():
+    g = Grid(256)
+    stepper = Stepper(g, Params(), 1e-4, "advective")
+    phi_hat = g.spectral(np.stack([_noise_band_limited(g, seed) for seed in range(4)]))
+    v_hat = g.spectral(np.outer([0.2, 100.0, 0.2, 0.2], np.sin(np.pi * g.x)))
+    v_hat[2, 5] = np.nan
+    with pytest.raises(SolverError) as info:
+        stepper.advance(phi_hat, v_hat)
+    rows = info.value.rows
+    assert sorted(rows) == [1, 2] and str(info.value) == rows[1]
+    assert rows[1].startswith("CFL violation") and rows[2].startswith("non-finite velocity")
+    for r in rows:  # each row's message is the one it raises alone
+        with pytest.raises(SolverError) as alone:
+            stepper.advance(phi_hat[r], v_hat[r])
+        assert alone.value.rows == {0: rows[r]} and str(alone.value) == rows[r]
+    back = pickle.loads(pickle.dumps(info.value))  # a worker process hands it back pickled
+    assert type(back) is SolverError and str(back) == rows[1] and back.rows == rows
+
+
+def test_batched_faults_name_their_times_and_leave_the_other_rows_alone(monkeypatch):
+    # row 1 breaks the CFL limit at the first step; row 2's phase field
+    # overflows at the sixth, with K = 0 so that its velocity stays finite
+    base = SolverConfig(coupling="advective", init_v="bump", n=256, dt=1e-4, t_final=0.002,
+                        record_every=5, seed=5, K=0.0, snapshot_times=(0.0, 0.001))
+    configs = [replace(base, seed=base.seed + i) for i in range(4)]
+    alone = [run(configs[0]), run(configs[3])]
+    build = initial.build_initial_fields
+
+    def planted(cfg, grid, params):
+        phi, v = build(cfg, grid, params)
+        if cfg.seed == base.seed + 1:
+            v = Field(grid, 100.0 * v.values)
+        if cfg.seed == base.seed + 2:
+            phi = Field(grid, 30.0 * phi.values / np.abs(phi.values).max())
+        return phi, v
+
+    monkeypatch.setattr(initial, "build_initial_fields", planted)
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cfg in configs[1:3]:
+            with pytest.raises(SolverError) as serial:
+                run(cfg)
+            messages.append(str(serial.value))
+        batched = run_batch(configs)
+    assert re.fullmatch(r"CFL violation: dt = 0\.0001 exceeds dx / max\(\|v\|, 1\) = "
+                        r"7\.8\d*e-05 at t = 0", messages[0]), messages[0]
+    assert messages[1] == "non-finite phase field at t = 0.0006"
+    assert [type(b) for b in batched[1:3]] == [SolverError, SolverError]
+    assert [str(b) for b in batched[1:3]] == messages
+    for a, b in zip(alone, (batched[0], batched[3])):
+        for name in a.series.names:
+            assert np.array_equal(a.series[name], b.series[name]), name
+        assert len(a.snapshots) == len(b.snapshots) == 2
+        for x, y in zip(a.snapshots + [a.final_state], b.snapshots + [b.final_state]):
+            assert np.array_equal(x.phi.values, y.phi.values)
+            assert np.array_equal(x.v.values, y.v.values)
 
 
 def test_batch_faults_end_one_run_or_every_run_still_stepping(monkeypatch):

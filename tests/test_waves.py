@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
+import bchsim.energy as energy
+import bchsim.waves as waves
 from bchsim.energy import wave_window_energy
 from bchsim.waves import (
     Params,
     WaveProfile,
+    _ladder,
     _landen_fold,
     amplitude_of_period,
     period_of_amplitude,
@@ -335,7 +338,7 @@ def test_ladder_matches_the_scalar_code_bit_for_bit(params):
     complement = np.concatenate([complement, tiny, np.sqrt((1.0 - tiny) * (1.0 + tiny))])
     u = np.concatenate([params.half_length * scale, rng.uniform(-30.0, 30.0, 2 * tiny.size)])
     oracle = np.array([landen_fold_oracle(*args) for args in zip(u, k, complement)]).T
-    for new, old in zip(_landen_fold(u, k, complement), oracle):
+    for new, old in zip(_landen_fold(u, _ladder(k, complement), complement), oracle):
         assert np.array_equal(new, old)
     oracle = np.array([sn_cn_dn_oracle(*args) for args in zip(u, k, complement)]).T
     for new, old in zip(sn_cn_dn(u, k, complement=complement), oracle):
@@ -371,3 +374,19 @@ def test_ladder_on_one_wave_gives_floats_and_the_scalar_code(params):
                             sn_cn_dn_oracle(x * scale, k, complement)):
             assert np.array_equal(new, old)
     assert wave_window_energy(0.0, params) == params.e_max
+
+
+def test_one_wave_builds_one_ladder(monkeypatch, energy_table):
+    built, waves_made = [], []
+    ladder, make = waves._ladder, energy.periodic_wave
+    monkeypatch.setattr(waves, "_ladder", lambda *args: built.append(1) or ladder(*args))
+    monkeypatch.setattr(energy, "periodic_wave", lambda *args: waves_made.append(1) or make(*args))
+    params = energy_table.params
+    wave = periodic_wave(np.array([0.3, 0.8, 0.99]), params)
+    assert wave.period[0] < wave.period[1] < wave.period[2]
+    wave.potential_integral(params.half_length)  # on the ladder the period built
+    assert len(built) == 1
+    # the energy -> period bisection: one wave, and so one ladder, per round
+    built.clear()
+    energy.period_from_energy(np.linspace(0.2, 0.45, 50), energy_table)
+    assert len(waves_made) > 10 and len(built) == len(waves_made)

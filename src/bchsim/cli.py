@@ -25,7 +25,7 @@ from .config import SolverConfig, config_echo, parse_config_file
 from .energy import ClampWarning, coarseness_table, free_energy, kohn_otto_length
 from .energy import period_from_energy, wave_window_energy
 from .ensemble import compare_coupled, run_ensemble
-from .evans import EigTable, build_eig_table, default_amplitudes, half_map_steps
+from .evans import EigTable, build_eig_table, default_amplitudes
 from .grid import Field
 from .initial import read_file_fields
 from .predictors import fit_pfit, fit_window, predicted_energy_curve
@@ -72,13 +72,10 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _rk_steps(text: str) -> int:
-    try:
-        steps = int(text)
-        half_map_steps(steps)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return steps
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
@@ -93,7 +90,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="run configuration file (key = value lines)")
     common.add_argument("--out", help="output root directory (default: config out_dir or 'out')")
     common.add_argument("--name", help="run directory name (default: UTC timestamp)")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker processes for trial-parallel commands")
 
     parser = _Parser(prog="bchsim",
@@ -105,7 +102,7 @@ def _build_parser() -> _Parser:
 
     p_ens = sub.add_parser("ensemble", parents=[common],
                            help="repeat a run over derived seeds and average")
-    p_ens.add_argument("--trials", type=int, required=True)
+    p_ens.add_argument("--trials", type=_positive_int, required=True)
     p_ens.add_argument("--no-overlays", action="store_true",
                        help="skip predictor overlay curves")
     p_ens.add_argument("--table", help="eigenvalue table CSV to reuse for overlays")
@@ -143,8 +140,6 @@ def _build_parser() -> _Parser:
     e_table = evans_sub.add_parser("table", parents=[common],
                                    help="leading eigenvalue per amplitude")
     e_table.add_argument("--da", type=_fraction, default=0.01, help="amplitude step / binodal")
-    e_table.add_argument("--p-max", type=_positive_float)
-    e_table.add_argument("--rk-steps", type=_rk_steps, default=2048)
     e_table.add_argument("--kappa", type=_positive_float)
 
     p_meas = sub.add_parser("measure", parents=[common],
@@ -226,13 +221,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     cfg = _load_config(args)
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
     table = None
     if args.table is not None:
         table = _read("table", EigTable.from_csv, args.table, cfg.params)
     out = _out_dir(args, "ensemble", cfg)
-    report = run_ensemble(cfg, args.trials, workers=max(1, args.threads),
+    report = run_ensemble(cfg, args.trials, workers=args.threads,
                           overlays=not args.no_overlays, eig_table=table)
     _echo_config(out, cfg)
     paths: list[str | None] = []
@@ -320,15 +313,13 @@ def _cmd_waves_table(args) -> int:
 
 def _cmd_evans_table(args) -> int:
     _, params = _params_for(args)
-    amps = default_amplitudes(params, da=args.da, p_max=args.p_max)
-    table = build_eig_table(params, amplitudes=amps, rk_steps=args.rk_steps,
-                            workers=max(1, args.threads))
+    amps = default_amplitudes(params, da=args.da)
+    table = build_eig_table(params, amplitudes=amps, workers=args.threads)
     out = _out_dir(args, "evans", None)
     table.to_csv(out / "table.csv")
     runio.write_report(out, {
         "command": "evans table", "rows": int(table.amplitudes.size),
-        "da": float(args.da), "rk_steps": int(args.rk_steps),
-        "kappa": float(params.kappa), "table": "table.csv",
+        "da": float(args.da), "kappa": float(params.kappa), "table": "table.csv",
     })
     print(f"wrote {out} ({table.amplitudes.size} rows)")
     return 0
@@ -362,7 +353,7 @@ def _cmd_compare(args) -> int:
     out = _out_dir(args, "compare", coupled_cfg)
     report = compare_coupled(coupled_cfg, uncoupled_cfg,
                              thresholds=args.thresholds,
-                             workers=max(1, args.threads))
+                             workers=args.threads)
     runio.write_run(out / "coupled", report.coupled, command="compare")
     runio.write_run(out / "uncoupled", report.uncoupled, command="compare")
     payload = report.summary()
@@ -372,10 +363,12 @@ def _cmd_compare(args) -> int:
     print(f"wrote {out}")
     for row in report.rows():
         bound = " (lower bound)" if row["ratio_is_lower_bound"] else ""
+        # a threshold met at t = 0 has no ratio
+        ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.4g}"
         print(f"threshold {row['threshold']}: coupled {row['coupled_time']:.4g}"
               f"{'*' if row['coupled_censored'] else ''}, uncoupled "
               f"{row['uncoupled_time']:.4g}{'*' if row['uncoupled_censored'] else ''}, "
-              f"ratio {row['ratio']:.4g}{bound}")
+              f"ratio {ratio}{bound}")
     return 0
 
 

@@ -23,6 +23,11 @@ _INT_KEYS = {"n", "record_every", "seed", "fourier_cutoff"}
 _FLOAT_KEYS = {"L", "alpha", "beta", "kappa", "nu", "K", "dt", "t_final", "stabilizer_A"}
 
 
+def snapshot_filename(t: float) -> str:
+    """The file a snapshot at time t is written to: 6 significant digits of t."""
+    return f"snap_{float(t):g}.csv"
+
+
 @dataclass
 class SolverConfig:
     coupling: str = "uncoupled"
@@ -89,6 +94,9 @@ class SolverConfig:
             if steps[k] == steps[k - 1]:
                 raise ValueError(f"snapshot_times {times[k - 1]:g} and {times[k]:g} fall due "
                                  f"at one step of dt = {self.dt_eff:g}")
+            if snapshot_filename(times[k]) == snapshot_filename(times[k - 1]):
+                raise ValueError(f"snapshot_times {times[k - 1]!r} and {times[k]!r} both write "
+                                 f"{snapshot_filename(times[k])}")
         late = [t for t, i in zip(times, steps) if i > self.n_steps]
         if late:
             raise ValueError(f"snapshot_times {late[0]:g} is after the last step, "

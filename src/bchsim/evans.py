@@ -44,7 +44,6 @@ from .waves import Params, WaveProfile, period_of_amplitude, periodic_wave
 __all__ = [
     "Monodromy",
     "monodromy",
-    "half_map_steps",
     "evans",
     "leading_eigenvalue",
     "EigTable",
@@ -59,6 +58,8 @@ _UNIT_CIRCLE_TOL = 1e-5
 _BLOCK = 256
 # relative width at which the leading-eigenvalue bracket is closed
 _RTOL = 1e-6
+# RK4 steps of the half-period map in the membership test: 2048 per period
+_HALF_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -166,18 +167,6 @@ def monodromy(lam: float, a: float, params: Params, rk_steps: int = 2048) -> Mon
     return Monodromy(matrix=mat.astype(complex), period=wave.period)
 
 
-def half_map_steps(rk_steps: int) -> int:
-    """RK4 steps over half a period at rk_steps steps per period.
-
-    The membership test integrates half a period (see _in_spectrum), so
-    rk_steps must be even, and at least 512 keeps the half map on at least
-    the 256 steps that monodromy requires.
-    """
-    if rk_steps < 512 or rk_steps % 2:
-        raise ValueError(f"rk_steps must be an even number of at least 512, got {rk_steps}")
-    return rk_steps // 2
-
-
 def evans(
     lam: float,
     xi: float,
@@ -243,12 +232,7 @@ def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float]:
     return inside, disc
 
 
-def leading_eigenvalue(
-    a: float,
-    params: Params,
-    bracket_hint: float | None = None,
-    rk_steps: int = 2048,
-) -> float:
+def leading_eigenvalue(a: float, params: Params, bracket_hint: float | None = None) -> float:
     """Largest real spectrum point of the linearization about the a-wave.
 
     Membership of lam in the spectrum is tested through the Floquet
@@ -269,14 +253,14 @@ def leading_eigenvalue(
     change sign across the bracket (an edge where |w| passes 2, or rounding
     noise) and when the bracket has fallen behind bisection's pace, which
     bounds the search by two probes more than bisection.  The half-period
-    transfer polynomial is built once, and every membership test evaluates
-    it.
+    transfer polynomial, on _HALF_STEPS = 1024 RK4 steps (2048 per period),
+    is built once, and every membership test evaluates it.
     """
     hint = params.lambda_top if bracket_hint is None else float(bracket_hint)
     if hint <= 0:
         raise ValueError("bracket hint must be positive")
     wave = periodic_wave(a, params)
-    half = _step_polynomial(wave, params, half_map_steps(rk_steps), 0.5 * wave.period)
+    half = _step_polynomial(wave, params, _HALF_STEPS, 0.5 * wave.period)
     probes = []  # (lam, disc) of every membership test, in order
 
     def probe(lam: float) -> tuple[bool, float]:
@@ -375,34 +359,28 @@ def _default_p_max(params: Params) -> float:
     return 44.0 * math.sqrt(params.kappa / (2.0 * params.beta))
 
 
-def default_amplitudes(params: Params, da: float = 0.01, p_max: float | None = None) -> np.ndarray:
-    """Uniform amplitude grid plus a log-graded tail reaching period p_max."""
+def default_amplitudes(params: Params, da: float = 0.01) -> np.ndarray:
+    """Uniform amplitude grid plus a log-graded tail reaching period _default_p_max."""
     if not 0.0 < da < 1.0:
         raise ValueError(f"da must lie in (0, 1), got {da}")
-    if p_max is None:
-        p_max = _default_p_max(params)
     binodal = params.binodal
     amps = np.arange(da, 1.0, da) * binodal
     # Python's float power: numpy's differs from it in the last bit on some m
     tail = np.array([binodal * (1.0 - 10.0 ** (-m)) for m in np.arange(2.25, 15.1, 0.25).tolist()])
     tail = tail[tail > amps[-1]]
-    reach = np.flatnonzero(period_of_amplitude(tail, params) >= p_max)
+    reach = np.flatnonzero(period_of_amplitude(tail, params) >= _default_p_max(params))
     return np.concatenate((amps, tail[: reach[0] + 1] if reach.size else tail))
 
 
-def build_eig_table(
-    params: Params,
-    amplitudes: np.ndarray | None = None,
-    rk_steps: int = 2048,
-    workers: int = 1,
-) -> EigTable:
+def build_eig_table(params: Params, amplitudes: np.ndarray | None = None,
+                    workers: int = 1) -> EigTable:
     """Tabulate the leading eigenvalue with amplitude continuation.
 
     A sequential coarse pass (every fourth amplitude, and the last) chains
     bracket hints, each 1.1 times the previous coarse value.  Every other
     amplitude takes 1.1 times the value of the nearest coarse row to its
     left as its hint, so those searches are independent and can run in
-    parallel.
+    parallel, each on a half-period map of _HALF_STEPS = 1024 RK4 steps.
     """
     if amplitudes is None:
         amplitudes = default_amplitudes(params)
@@ -416,8 +394,7 @@ def build_eig_table(
         coarse.append(n - 1)
     hint = params.lambda_top
     for i in coarse:
-        values[i] = leading_eigenvalue(amplitudes[i], params, bracket_hint=hint,
-                                       rk_steps=rk_steps)
+        values[i] = leading_eigenvalue(amplitudes[i], params, bracket_hint=hint)
         hint = values[i] * 1.1
 
     remaining = [i for i in range(n) if math.isnan(values[i])]
@@ -426,7 +403,7 @@ def build_eig_table(
         j = max(k for k in coarse if k < i)
         return values[j] * 1.1
 
-    jobs = [(i, params, amplitudes[i], hint_for(i), rk_steps) for i in remaining]
+    jobs = [(i, params, amplitudes[i], hint_for(i)) for i in remaining]
     for i, v in parallel_map(_solve_entry, jobs, workers):
         values[i] = v
 
@@ -434,8 +411,8 @@ def build_eig_table(
 
 
 def _solve_entry(job):
-    i, params, a, hint, rk_steps = job
-    return i, leading_eigenvalue(a, params, bracket_hint=hint, rk_steps=rk_steps)
+    i, params, a, hint = job
+    return i, leading_eigenvalue(a, params, bracket_hint=hint)
 
 
 def rescale_table(table: EigTable, kappa_new: float) -> EigTable:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_echo
+from .config import config_echo, snapshot_filename
 from .grid import Field, Grid
 from .series import TimeSeries
 from .solver import RunResult, Snapshot
@@ -55,10 +55,6 @@ def run_directory(base, command: str, name: str | None = None) -> Path:
         except FileExistsError:
             suffix += 1
             out = root / f"{stamp}-{suffix}"
-
-
-def snapshot_filename(t: float) -> str:
-    return f"snap_{float(t):g}.csv"
 
 
 def write_snapshot(out_dir, snap: Snapshot) -> Path:

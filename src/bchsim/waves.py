@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "Params",
-    "sn_cn_dn",
     "WaveProfile",
     "periodic_wave",
     "period_of_amplitude",
@@ -138,17 +137,11 @@ def _ladder(k, complement):
     return levels
 
 
-def sn_cn_dn(u, k, *, complement=None):
-    """Jacobi sn, cn, dn at argument u and modulus k, elementwise; below
-    k = 1e-12 the k = 0 limits sin, cos, 1."""
-    u = np.asarray(u, dtype=float)
-    if complement is None:
-        k = np.asarray(k, dtype=float)
-        if not np.all((0.0 <= k) & (k <= 1.0)):
-            raise ValueError(f"modulus must lie in [0, 1], got {k}")
-        complement = np.sqrt((1.0 - k) * (1.0 + k))
-    sn, cn, dn, _ = _landen_fold(u, _ladder(k, complement), complement)
-    small = np.asarray(k) < 1e-12
+def _sn_cn_dn(u, levels, complement):
+    """Jacobi sn, cn, dn at argument u on levels, the AGM ladder of k,
+    elementwise; below k = 1e-12 the k = 0 limits sin, cos, 1."""
+    sn, cn, dn, _ = _landen_fold(u, levels, complement)
+    small = levels[0][1] < 1e-12
     if np.count_nonzero(small):
         sn, cn, dn = (np.where(small, lim, f) for lim, f in
                       zip((np.sin(u), np.cos(u), np.ones_like(u)), (sn, cn, dn)))
@@ -200,7 +193,7 @@ class WaveProfile:
 
     @cached_property
     def _levels(self):
-        """The AGM ladder of the modulus, built once for period and potential_integral."""
+        """The AGM ladder of the modulus, built once for every evaluation below."""
         return _ladder(self.modulus, self.complement)
 
     @property
@@ -216,7 +209,7 @@ class WaveProfile:
         kappa phi_xx = F'(phi), phi_xx needs no further elliptic identities.
         """
         x = np.asarray(x, dtype=float)
-        sn, cn, dn = sn_cn_dn(x * self.scale, self.modulus, complement=self.complement)
+        sn, cn, dn = _sn_cn_dn(x * self.scale, self._levels, self.complement)
         phi = self.amplitude * sn
         phi_x = self.amplitude * self.scale * cn * dn
         phi_xx = self.params.df(phi) / self.params.kappa

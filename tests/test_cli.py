@@ -347,8 +347,8 @@ def test_waves_table_format(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,flag", [
     (["evans", "table", "--da", "nan"], "--da"),
-    (["evans", "table", "--p-max", "0"], "--p-max"),
-    (["evans", "table", "--p-max", "inf"], "--p-max"),
+    (["evans", "table", "--threads", "0"], "--threads"),
+    (["compare", "--threads", "-3"], "--threads"),
     (["evans", "table", "--kappa", "nan"], "--kappa"),
     (["waves", "table", "--da", "inf"], "--da"),
     (["predict", "--p0", "nan"], "--p0"),
@@ -380,17 +380,6 @@ def test_waves_table_steps_in_fractions_of_the_binodal(tmp_path):
                  "--out", str(tmp_path / "o"), "--name", "w"]) == 0
     table = TimeSeries.from_csv(tmp_path / "o" / "waves" / "w" / "table.csv")
     assert table["amplitude"] == pytest.approx([0.125, 0.25, 0.375], rel=1e-15)
-
-
-def test_evans_table_rejects_rk_steps_it_cannot_honour(tmp_path, capsys):
-    # the membership test integrates half a period at rk_steps / 2 steps
-    for steps in ("100", "-5", "2047", "510"):
-        assert main(["evans", "table", "--rk-steps", steps, "--out", str(tmp_path)]) == 1
-        assert "argument --rk-steps: rk_steps must be an even number" in capsys.readouterr().err
-    code = main(["evans", "table", "--da", "0.3", "--rk-steps", "1024",
-                 "--out", str(tmp_path / "o"), "--name", "ev"])
-    assert code == 0
-    assert read_report(tmp_path / "o" / "evans" / "ev")["rk_steps"] == 1024
 
 
 def test_evans_table_then_predict(tmp_path):
@@ -441,3 +430,19 @@ def test_compare_runs_twin(tmp_path, capsys):
     assert [row["threshold"] for row in report["rows"]] == [1.12, 1.495]
     stdout = capsys.readouterr().out
     assert "threshold 1.12" in stdout
+
+
+def test_compare_prints_no_ratio_for_a_threshold_met_at_t0(tmp_path, capsys):
+    # both runs start from one field whose period already exceeds 0.1, so
+    # each crosses that threshold at t = 0 and the ratio of the times is 0/0
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text("coupling = advective\nn = 256\nt_final = 0.01\ndt = 1e-4\n"
+                   "init_v = bump\n")
+    code = main(["compare", "--config", str(cfg), "--thresholds", "0.1,0.3",
+                 "--out", str(tmp_path / "o"), "--name", "c"])
+    assert code == 0
+    rows = read_report(tmp_path / "o" / "compare" / "c")["rows"]
+    assert rows[0]["coupled_time"] == 0.0 and rows[0]["ratio"] is None
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("threshold 0.1:"))
+    assert line == "threshold 0.1: coupled 0, uncoupled 0, ratio n/a"

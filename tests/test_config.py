@@ -64,6 +64,16 @@ def test_snapshot_times_parse():
     assert cfg.snapshot_times == (0.0, 0.5, 1.5)
 
 
+def test_snapshot_times_that_share_a_file_name_are_rejected():
+    # a snapshot's file is named by 6 significant digits of its time, so these
+    # two, a step of dt = 1e-7 apart, would both write snap_0.1.csv
+    text = "t_final = 0.2\ndt = 1e-7\nsnapshot_times = {}\n"
+    with pytest.raises(ValueError, match=r"0\.1000001 and 0\.1000002 both write snap_0\.1\.csv"):
+        parse_config(text.format("0.1000002, 0.1000001"))
+    cfg = parse_config(text.format("0.1000001, 0.100001"))
+    assert cfg.snapshot_times == (0.1000001, 0.100001)
+
+
 def test_init_file_forms():
     cfg = parse_config("init_phi = file:some/path.csv\ninit_v = file:other.csv\n"
                        "coupling = advective\n")

@@ -273,12 +273,6 @@ def test_leading_eigenvalue_matches_direct_bisection(a, params):
                                  rel=2.0 * rtol)
 
 
-@pytest.mark.parametrize("rk_steps", [100, 510, 2047, -4])
-def test_leading_eigenvalue_rejects_steps_it_cannot_honour(rk_steps, params):
-    with pytest.raises(ValueError, match="rk_steps"):
-        leading_eigenvalue(0.5, params, rk_steps=rk_steps)
-
-
 def _steps_first_step_polynomial(wave, params, rk_steps, x_end):
     """The (steps, 4, 4) assembly of all five quartic coefficients that the
     steps-last linear build replaced, kept as a reference."""

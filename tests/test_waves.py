@@ -10,15 +10,16 @@ from scipy.special import ellipj, ellipk
 import bchsim.energy as energy
 import bchsim.waves as waves
 from bchsim.energy import wave_window_energy
+from bchsim.evans import leading_eigenvalue, monodromy
 from bchsim.waves import (
     Params,
     WaveProfile,
     _ladder,
     _landen_fold,
+    _sn_cn_dn,
     amplitude_of_period,
     period_of_amplitude,
     periodic_wave,
-    sn_cn_dn,
 )
 
 # Landmark values for alpha = beta = 1, kappa = 1e-3, L = 1.
@@ -46,11 +47,18 @@ def quarter_period_quadrature(a: float, params: Params) -> float:
     return 4.0 * math.sqrt(2.0 * params.kappa / alpha) * val
 
 
+def jacobi(u, k, complement=None):
+    """sn, cn, dn at u and modulus k from the evaluator, on k's ladder built here."""
+    if complement is None:
+        complement = np.sqrt((1.0 - k) * (1.0 + k))
+    return _sn_cn_dn(np.asarray(u, dtype=float), _ladder(k, complement), complement)
+
+
 @given(u=st.floats(-8.0, 8.0), k=st.floats(0.0, 0.999))
 @example(u=5.283734860544659, k=0.61328125)
 @settings(max_examples=60, deadline=None)
 def test_jacobi_identities(u, k):
-    sn, cn, dn = sn_cn_dn(u, k)
+    sn, cn, dn = jacobi(u, k)
     assert sn * sn + cn * cn == pytest.approx(1.0, abs=1e-12)
     assert dn * dn + (k * sn) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -58,7 +66,7 @@ def test_jacobi_identities(u, k):
 def test_jacobi_matches_scipy():
     for u in (-2.3, 0.4, 1.7):
         for k in (0.1, 0.6, 0.97):
-            sn, cn, dn = sn_cn_dn(u, k)
+            sn, cn, dn = jacobi(u, k)
             s, c, d, _ = ellipj(u, k * k)
             assert sn == pytest.approx(float(s), abs=1e-12)
             assert cn == pytest.approx(float(c), abs=1e-12)
@@ -68,8 +76,8 @@ def test_jacobi_matches_scipy():
 def test_jacobi_periodicity():
     k = 0.8
     big_k = float(ellipk(k * k))
-    sn0, cn0, _ = sn_cn_dn(0.37, k)
-    sn4, cn4, _ = sn_cn_dn(0.37 + 4.0 * big_k, k)
+    sn0, cn0, _ = jacobi(0.37, k)
+    sn4, cn4, _ = jacobi(0.37 + 4.0 * big_k, k)
     assert sn4 == pytest.approx(sn0, abs=1e-11)
     assert cn4 == pytest.approx(cn0, abs=1e-11)
 
@@ -147,8 +155,8 @@ def test_sn_is_odd_bitwise():
     u = np.linspace(-60.0, 60.0, 4001)
     for k, complement in [(0.0, None), (1e-13, None), (0.3, None), (0.9, None),
                           (math.sqrt(1.0 - 1e-14), 1e-7)]:
-        sn, cn, dn = sn_cn_dn(u, k, complement=complement)
-        sn_m, cn_m, dn_m = sn_cn_dn(-u, k, complement=complement)
+        sn, cn, dn = jacobi(u, k, complement=complement)
+        sn_m, cn_m, dn_m = jacobi(-u, k, complement=complement)
         assert np.array_equal(sn_m, -sn)
         assert np.array_equal(cn_m, cn)
         assert np.array_equal(dn_m, dn)
@@ -341,7 +349,7 @@ def test_ladder_matches_the_scalar_code_bit_for_bit(params):
     for new, old in zip(_landen_fold(u, _ladder(k, complement), complement), oracle):
         assert np.array_equal(new, old)
     oracle = np.array([sn_cn_dn_oracle(*args) for args in zip(u, k, complement)]).T
-    for new, old in zip(sn_cn_dn(u, k, complement=complement), oracle):
+    for new, old in zip(jacobi(u, k, complement=complement), oracle):
         assert np.array_equal(new, old)
 
     # potential_integral on a family whose amplitudes leave every term of
@@ -370,9 +378,14 @@ def test_ladder_on_one_wave_gives_floats_and_the_scalar_code(params):
         assert type(energy) is float and energy == window_energy_oracle(a, params)
         # one modulus across a grid of arguments, as the Evans transfer map samples it
         x = np.linspace(-period, period, 2049)
-        for new, old in zip(sn_cn_dn(x * scale, k, complement=complement),
+        for new, old in zip(jacobi(x * scale, k, complement=complement),
                             sn_cn_dn_oracle(x * scale, k, complement)):
             assert np.array_equal(new, old)
+        # the wave's own samples, on the ladder its period built
+        phi, phi_x, _ = wave.with_derivatives(x)
+        sn, cn, dn = sn_cn_dn_oracle(x * scale, k, complement)
+        assert np.array_equal(phi, a * sn)
+        assert np.array_equal(phi_x, a * scale * cn * dn)
     assert wave_window_energy(0.0, params) == params.e_max
 
 
@@ -390,3 +403,8 @@ def test_one_wave_builds_one_ladder(monkeypatch, energy_table):
     built.clear()
     energy.period_from_energy(np.linspace(0.2, 0.45, 50), energy_table)
     assert len(waves_made) > 10 and len(built) == len(waves_made)
+    # the Evans layer samples its wave on the ladder the wave's period built
+    for evaluate in (lambda: monodromy(3.0, 0.5, params), lambda: leading_eigenvalue(0.5, params)):
+        built.clear()
+        evaluate()
+        assert len(built) == 1

@@ -314,7 +314,7 @@ def _cmd_waves_table(args) -> int:
 def _cmd_evans_table(args) -> int:
     _, params = _params_for(args)
     amps = default_amplitudes(params, da=args.da)
-    table = build_eig_table(params, amplitudes=amps, workers=args.threads)
+    table = build_eig_table(params, amplitudes=amps)
     out = _out_dir(args, "evans", None)
     table.to_csv(out / "table.csv")
     runio.write_report(out, {
@@ -363,7 +363,7 @@ def _cmd_compare(args) -> int:
     print(f"wrote {out}")
     for row in report.rows():
         bound = " (lower bound)" if row["ratio_is_lower_bound"] else ""
-        # a threshold met at t = 0 has no ratio
+        # a threshold met at t = 0, or by neither run, has no ratio
         ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.4g}"
         print(f"threshold {row['threshold']}: coupled {row['coupled_time']:.4g}"
               f"{'*' if row['coupled_censored'] else ''}, uncoupled "

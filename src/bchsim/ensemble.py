@@ -203,7 +203,8 @@ class CompareReport:
     uncoupled_fit: FitResult | None = None
 
     def rows(self) -> list[dict]:
-        """Ratio table; a censored entry turns the ratio into a lower bound."""
+        """Ratio table; a censored entry turns the ratio into a lower bound, and a
+        threshold the coupled run meets at t = 0, or neither run meets, has none."""
         out = []
         for thr, tc, tu in zip(self.thresholds, self.coupled_crossings,
                                self.uncoupled_crossings):
@@ -211,7 +212,7 @@ class CompareReport:
             cu = tu is None
             tc_eff = self.coupled.config.t_final if cc else tc
             tu_eff = self.uncoupled.config.t_final if cu else tu
-            ratio = None if tc_eff == 0 else tu_eff / tc_eff
+            ratio = None if tc_eff == 0 or (cc and cu) else tu_eff / tc_eff
             out.append({
                 "threshold": float(thr),
                 "coupled_time": float(tc_eff),

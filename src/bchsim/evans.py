@@ -14,20 +14,23 @@ written as the first-order system y' = A(x; lambda) y with
 A is traceless, so the monodromy M(lambda) over one period has unit
 determinant.  lambda belongs to the spectrum exactly when M carries a
 Floquet multiplier on the unit circle, i.e. when the Evans determinant
-det(M - z I) vanishes for some |z| = 1.  The leading (largest real)
-spectrum point is bracketed by that membership test below a hint, which
-amplitude continuation supplies when tabulating.  The bracket is closed by
-a secant on a discriminant that changes sign where two unit-circle
-multipliers collide and leave the circle, with a midpoint step wherever
-that secant cannot be trusted (see leading_eigenvalue).
+det(M - z I) vanishes for some |z| = 1; monodromy and evans compute both.
 
-b, b' and b'' come from the closed-form wave, so no numerical
-differentiation enters the coefficients.  A(x; lambda) = A0(x) + lambda F
-with F = -(1/kappa) e3 e0^T.  F A0^j F vanishes for j <= 2, so each
-classical fixed-step RK4 transfer matrix, a product of at most four A, is
-exactly linear in lambda.  Its two coefficient matrices are built once per
-wave, for all steps in one vectorized batch; each lambda then costs one
-multiply-add of that stack and a pairwise ordered product.
+The leading (largest real) spectrum point is found instead by Hill's method
+(Deconinck & Kutz, J. Comput. Phys. 219, 2006; convergence: Johnson &
+Zumbrun, SIAM J. Numer. Anal. 50, 2012): on the Bloch-Fourier modes of the
+wave, each Bloch exponent gives a small real symmetric pencil whose lowest
+eigenvalue is -lambda, and leading_eigenvalue maximises lambda over the
+exponent.
+
+For the monodromy, b, b' and b'' come from the closed-form wave, so no
+numerical differentiation enters the coefficients.  A(x; lambda) =
+A0(x) + lambda F with F = -(1/kappa) e3 e0^T.  F A0^j F vanishes for
+j <= 2, so each classical fixed-step RK4 transfer matrix, a product of at
+most four A, is exactly linear in lambda.  Its two coefficient matrices
+are built once per wave, for all steps in one vectorized batch; each
+lambda then costs one multiply-add of that stack and a pairwise ordered
+product.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .parallel import parallel_map
 from .series import TimeSeries
 from .waves import Params, WaveProfile, period_of_amplitude, periodic_wave
 
@@ -52,14 +54,11 @@ __all__ = [
     "rescale_table",
 ]
 
-_UNIT_CIRCLE_TOL = 1e-5
 # _step_polynomial builds this many steps at a time: a stage of a block is
-# 64 KiB, below malloc's 128 KiB mmap threshold, so rows reuse the heap's pages
+# 64 KiB, below malloc's 128 KiB mmap threshold, so calls reuse the heap's pages
 _BLOCK = 256
-# relative width at which the leading-eigenvalue bracket is closed
-_RTOL = 1e-6
-# RK4 steps of the half-period map in the membership test: 2048 per period
-_HALF_STEPS = 1024
+# step limit of each leading_eigenvalue loop
+_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,8 @@ def _step_polynomial(wave: WaveProfile, params: Params, rk_steps: int, x_end: fl
 def _transfer(poly: np.ndarray, lam: float) -> np.ndarray:
     """Ordered product of the step propagators poly[0] + lam poly[1].
 
-    The stack is formed in place, in one 128 KiB temporary at 1024 steps: with
-    a second one, most membership tests faulted in fresh pages.
+    The stack is formed in place, in one temporary: a second one would fault
+    in fresh pages on every call.
     """
     mats = poly[1] * lam
     mats += poly[0]
@@ -181,135 +180,82 @@ def evans(
     return complex(np.linalg.det(mono.matrix - z * np.eye(4)))
 
 
-def _reciprocal_pair(matrix: np.ndarray) -> tuple[tuple[float, float] | None, float]:
-    """Roots of w^2 - c1 w + (c2 - 2) where multipliers pair as {z, 1/z}.
-
-    The system is Hamiltonian, so the characteristic polynomial of any
-    transfer matrix is self-reciprocal and w = z + 1/z reduces it to a real
-    quadratic with c1 = tr M and c2 the sum of principal 2x2 minors.  A
-    multiplier sits on the unit circle exactly when a real root has
-    |w| <= 2.  Working with the invariants instead of eigvals keeps the
-    near-circle multipliers accurate even when the hyperbolic interface
-    multiplier dwarfs them: the error is about eps times that multiplier,
-    while a direct eigensolve loses them entirely.
-
-    Returns the roots, or None when both are complex (all multipliers off
-    the circle), together with the discriminant disc = c1^2 - 4 (c2 - 2).
-    disc falls through zero where two multipliers on the circle collide and
-    leave it.
-    """
-    c1 = float(np.trace(matrix).real)
-    c2 = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            c2 += float((matrix[i, i] * matrix[j, j] - matrix[i, j] * matrix[j, i]).real)
-    disc = c1 * c1 - 4.0 * (c2 - 2.0)
-    if disc < 0.0:
-        return None, disc
-    root = math.sqrt(disc)
-    w_big = 0.5 * (c1 + math.copysign(root, c1))
-    if w_big == 0.0:
-        w_small = math.sqrt(max(2.0 - c2, 0.0))
-        return (-w_small, w_small), disc
-    return (w_big, (c2 - 2.0) / w_big), disc
-
-
-def _in_spectrum(half_poly: np.ndarray, lam: float) -> tuple[bool, float]:
-    """Unit-circle membership of lam through the half-period map.
-
-    b = F''(phi) depends on phi only through phi^2, and phi(x + p/2) = -phi(x),
-    so b, b', b'' all have period p/2 and the full monodromy is the square of
-    the half map.  The half map's multipliers are square roots of the full
-    ones, so membership transfers verbatim; its norm is the square root of
-    the full one, which roughly doubles the period range over which
-    unit-circle multipliers stay resolvable.
-
-    Returns (inside, disc of _reciprocal_pair), inside when a real root has
-    |w| <= 2 + _UNIT_CIRCLE_TOL.
-    """
-    ws, disc = _reciprocal_pair(_transfer(half_poly, lam))
-    inside = ws is not None and any(abs(w) <= 2.0 + _UNIT_CIRCLE_TOL for w in ws)
-    return inside, disc
-
-
 def leading_eigenvalue(a: float, params: Params, bracket_hint: float | None = None) -> float:
-    """Largest real spectrum point of the linearization about the a-wave.
+    """Largest real spectrum point of the linearization about the a-wave, by Hill's method.
 
-    Membership of lam in the spectrum is tested through the Floquet
-    multipliers of M(lam): lam is inside iff a multiplier sits on the unit
-    circle, the same set as the zeros of the Evans determinant in exact
-    arithmetic but much better conditioned to evaluate.  The search keeps a
-    bracket of an inside point (found by halving downward from the hint)
-    and an outside point just above the hint; only membership verdicts move
-    it, and it ends when the bracket is narrower than _RTOL, returning its
-    midpoint.  The spectrum ends where two multipliers collide on the unit
-    circle and leave it, so the discriminant disc of _reciprocal_pair
-    changes sign there, nearly linearly in lam.  Each probe is therefore the
-    secant root of disc through the last two probes, clamped to the bracket
-    and placed past that root toward the farther bracket end: by a quarter
-    of the root's last move while it still moves by more than ten target
-    widths, then by a quarter of the target width, so the bracket closes
-    from both sides.  The midpoint is probed instead when disc does not
-    change sign across the bracket (an edge where |w| passes 2, or rounding
-    noise) and when the bracket has fallen behind bisection's pace, which
-    bounds the search by two probes more than bisection.  The half-period
-    transfer polynomial, on _HALF_STEPS = 1024 RK4 steps (2048 per period),
-    is built once, and every membership test evaluates it.
+    b = F''(phi) is even and has period p/2, so a Bloch mode exp(i mu x)
+    times a p/2-periodic function has Fourier components u_j on
+    q_j = 4 pi j/p + mu, |j| <= n = ceil(3 p/l) with l = sqrt(2 kappa/beta),
+    the kink width.  On them the problem is the real symmetric pencil
+    H u = s Q^{-1} u, lambda = -s, with H = kappa Q + B, Q = diag q_j^2 and
+    B the Toeplitz matrix of b's cosine coefficients, taken from one rfft of
+    b on a power-of-two grid of at least 8 n + 8 points over [0, p/2).
+
+    At each mu, Rayleigh-quotient iteration on the pencil finds the smallest
+    s.  The first one starts from the shift -bracket_hint and the j = 0
+    mode.  Every spectrum point lies at or below lambda_top, the default
+    hint, so the first solve is inverse iteration below the pencil's
+    spectrum, which favours the leading point, and the Rayleigh quotients
+    that follow converge to it; a hint at or above the leading eigenvalue
+    does the same.  Each later mu starts from the vector and shift of the
+    one before.  An iteration ends once its shift moves by less than 1e-6
+    relative; the convergence is cubic, so the last Rayleigh quotient is
+    exact to rounding, and where rounding hides the eigenvalue it never
+    ends.  lambda(mu) = lambda(4 pi/p - mu), so mu ranges over (0, 2 pi/p];
+    a secant on d lambda/d mu, taken by Hellmann-Feynman, finds the maximum.
+    It starts at mu p/pi = sqrt 2, the small-amplitude sideband, keeps the
+    bracket of the maximum that the signs of the derivative give, and takes
+    the bracket's midpoint wherever the secant would leave it.  Either loop
+    raises RuntimeError after 50 steps without converging.
     """
     hint = params.lambda_top if bracket_hint is None else float(bracket_hint)
     if hint <= 0:
         raise ValueError("bracket hint must be positive")
     wave = periodic_wave(a, params)
-    half = _step_polynomial(wave, params, _HALF_STEPS, 0.5 * wave.period)
-    probes = []  # (lam, disc) of every membership test, in order
+    p, kappa = wave.period, params.kappa
+    n = math.ceil(3.0 * p / math.sqrt(2.0 * kappa / params.beta))
+    m = 1 << (8 * n + 7).bit_length()
+    phi = wave.with_derivatives(0.5 * p / m * np.arange(m))[0]
+    b = 3.0 * params.alpha * phi**2 - params.beta
+    j = np.arange(-n, n + 1)
+    toeplitz = (np.fft.rfft(b).real / m)[np.abs(j[:, None] - j)]
+    diag = np.diag_indices(j.size)
 
-    def probe(lam: float) -> tuple[bool, float]:
-        inside, disc = _in_spectrum(half, lam)
-        probes.append((lam, disc))
-        return inside, disc
+    def solve_at(t, u, s):
+        """Vector, s and d lambda/dt of the leading Bloch mode at mu = t pi/p."""
+        q = (4.0 * j + t) * (math.pi / p)
+        w = 1.0 / (q * q)
+        for _ in range(_STEPS):
+            shifted = toeplitz.copy()
+            shifted[diag] += kappa * q * q - s * w
+            u = np.linalg.solve(shifted, w * u)
+            u /= np.linalg.norm(u)
+            norm = u @ (w * u)
+            last, s = s, (u @ (toeplitz @ u) + kappa * (q * u) @ (q * u)) / norm
+            if abs(s - last) < 1e-6 * abs(s):
+                return u, s, -(u * u) @ (2.0 * kappa * q + 2.0 * s * w / q) / norm * (math.pi / p)
+        raise RuntimeError(f"Rayleigh-quotient iteration did not converge for a={a} at mu p/pi={t}")
 
-    hi = hint * 1.05
-    for _ in range(60):
-        inside, d_hi = probe(hi)
-        if not inside:
-            break
-        hi *= 1.3
-    else:
-        raise RuntimeError(f"no upper spectral edge found above {hint} for a={a}")
-
-    lo = min(hint, hi / 1.05)
-    for _ in range(60):
-        inside, d_lo = probe(lo)
-        if inside:
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError(f"no spectrum found below {hint} for a={a} after 60 halvings")
-
-    # The secant may probe only while the bracket is no wider than bisection's
-    # was one probe earlier.  A probe that gains nothing then leaves it at
-    # most two probes behind bisection, and a midpoint keeps that standing,
-    # so the search never takes more than two probes beyond bisection.
-    budget = 2.0 * (hi - lo)
-    root = None
-    while hi - lo > _RTOL * hi:
-        width, target = hi - lo, _RTOL * hi
-        (x0, d0), (x1, d1) = probes[-2:]
-        if d_lo > 0.0 > d_hi and d0 != d1 and width <= budget:
-            last, root = root, min(max(x1 - d1 * (x1 - x0) / (d1 - d0), lo), hi)
-            move = 0.0 if last is None else abs(root - last)
-            past = 0.25 * (move if move > 10.0 * target else target)
-            lam = root + (past if hi - root > root - lo else -past)
-            lam = min(max(lam, lo + 0.25 * target), hi - 0.25 * target)
+    t = math.sqrt(2.0)
+    u, s, g = solve_at(t, (j == 0).astype(float), -hint)
+    lo, hi, t_last, g_last = 0.0, 2.0, None, None
+    for _ in range(_STEPS):
+        if g > 0.0:
+            lo = t
         else:
-            lam = 0.5 * (lo + hi)
-        inside, disc = probe(lam)
-        if inside:
-            lo, d_lo = lam, disc
+            hi = t
+        if t_last is None:
+            step = math.copysign(0.05, g)
+        elif (g - g_last) * (t - t_last) < 0.0:
+            step = -g * (t - t_last) / (g - g_last)
         else:
-            hi, d_hi = lam, disc
-        budget *= 0.5
-    return 0.5 * (lo + hi)
+            step = math.inf
+        if min(abs(step), hi - lo) <= 1e-7:
+            return float(-s)
+        t_last, g_last = t, g
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+        u, s, g = solve_at(t, u, s)
+    raise RuntimeError(f"no maximum over the Bloch exponent found for a={a}")
 
 
 @dataclass
@@ -349,12 +295,10 @@ class EigTable:
 
 
 def _default_p_max(params: Params) -> float:
-    """Longest period the membership test resolves in double precision.
+    """The default tables' reach, 44 sqrt(kappa/(2 beta)) = 22 l, l = sqrt(2 kappa/beta).
 
-    The interface transfer grows like exp(sqrt(2 beta/kappa) p/2); the
-    invariant-based circle test keeps about eps times that as absolute
-    noise, which crosses the membership tolerance near p = 49 sqrt(kappa /
-    (2 beta)).  Stay a little inside.
+    leading_eigenvalue resolves periods to about 26 l; the reach stays where
+    it is so that every table keeps its amplitudes.
     """
     return 44.0 * math.sqrt(params.kappa / (2.0 * params.beta))
 
@@ -372,47 +316,14 @@ def default_amplitudes(params: Params, da: float = 0.01) -> np.ndarray:
     return np.concatenate((amps, tail[: reach[0] + 1] if reach.size else tail))
 
 
-def build_eig_table(params: Params, amplitudes: np.ndarray | None = None,
-                    workers: int = 1) -> EigTable:
-    """Tabulate the leading eigenvalue with amplitude continuation.
-
-    A sequential coarse pass (every fourth amplitude, and the last) chains
-    bracket hints, each 1.1 times the previous coarse value.  Every other
-    amplitude takes 1.1 times the value of the nearest coarse row to its
-    left as its hint, so those searches are independent and can run in
-    parallel, each on a half-period map of _HALF_STEPS = 1024 RK4 steps.
-    """
+def build_eig_table(params: Params, amplitudes: np.ndarray | None = None) -> EigTable:
+    """Tabulate the leading eigenvalue, one leading_eigenvalue call per amplitude."""
     if amplitudes is None:
         amplitudes = default_amplitudes(params)
     amplitudes = np.asarray(amplitudes, dtype=float)
-    n = amplitudes.size
-    values = np.full(n, np.nan)
-    periods = period_of_amplitude(amplitudes, params)
-
-    coarse = list(range(0, n, 4))
-    if coarse[-1] != n - 1:
-        coarse.append(n - 1)
-    hint = params.lambda_top
-    for i in coarse:
-        values[i] = leading_eigenvalue(amplitudes[i], params, bracket_hint=hint)
-        hint = values[i] * 1.1
-
-    remaining = [i for i in range(n) if math.isnan(values[i])]
-
-    def hint_for(i: int) -> float:
-        j = max(k for k in coarse if k < i)
-        return values[j] * 1.1
-
-    jobs = [(i, params, amplitudes[i], hint_for(i)) for i in remaining]
-    for i, v in parallel_map(_solve_entry, jobs, workers):
-        values[i] = v
-
-    return EigTable(amplitudes=amplitudes, periods=periods, lambda_max=values, params=params)
-
-
-def _solve_entry(job):
-    i, params, a, hint = job
-    return i, leading_eigenvalue(a, params, bracket_hint=hint)
+    values = np.array([leading_eigenvalue(a, params) for a in amplitudes])
+    return EigTable(amplitudes=amplitudes, periods=period_of_amplitude(amplitudes, params),
+                    lambda_max=values, params=params)
 
 
 def rescale_table(table: EigTable, kappa_new: float) -> EigTable:

@@ -1,5 +1,4 @@
-"""One process-pool map for the independent jobs of ensembles, comparisons
-and eigenvalue tables."""
+"""One process-pool map for the independent jobs of ensembles and comparisons."""
 
 from __future__ import annotations
 

@@ -443,6 +443,10 @@ def test_compare_prints_no_ratio_for_a_threshold_met_at_t0(tmp_path, capsys):
     assert code == 0
     rows = read_report(tmp_path / "o" / "compare" / "c")["rows"]
     assert rows[0]["coupled_time"] == 0.0 and rows[0]["ratio"] is None
-    line = next(line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("threshold 0.1:"))
-    assert line == "threshold 0.1: coupled 0, uncoupled 0, ratio n/a"
+    # neither run reaches 0.3 by t_final, so that row measured nothing either
+    assert rows[1]["coupled_censored"] and rows[1]["uncoupled_censored"]
+    assert rows[1]["ratio"] is None and not rows[1]["ratio_is_lower_bound"]
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("threshold ")]
+    assert lines == ["threshold 0.1: coupled 0, uncoupled 0, ratio n/a",
+                     "threshold 0.3: coupled 0.01*, uncoupled 0.01*, ratio n/a"]

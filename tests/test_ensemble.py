@@ -257,14 +257,14 @@ def test_compare_report_ratio_semantics():
     assert row["ratio"] == pytest.approx(10.0)
     assert row["ratio_is_lower_bound"]
 
-    # Both censored: both horizons enter, but no bound is claimed.
+    # Both censored: neither run measured a time, so there is no ratio.
     both = CompareReport(
         thresholds=(1.5,),
         coupled=res_c, uncoupled=res_u,
         coupled_crossings=(None,), uncoupled_crossings=(None,),
     )
     row = both.rows()[0]
-    assert row["ratio"] == pytest.approx(2.5)
+    assert row["ratio"] is None
     assert not row["ratio_is_lower_bound"]
     summary = both.summary()
     assert summary["thresholds"] == [1.5]

@@ -227,11 +227,38 @@ def _direct_map(lam, a, params, rk_steps, fraction):
     return evans_module._ordered_product(props)
 
 
+def _reciprocal_pair(matrix):
+    """Real roots w = z + 1/z of the multipliers' pairs {z, 1/z}, or None when both are complex.
+
+    The system is Hamiltonian, so the characteristic polynomial of a transfer
+    matrix is self-reciprocal and w reduces it to w^2 - c1 w + (c2 - 2), with
+    c1 = tr M and c2 the sum of principal 2x2 minors.  A multiplier sits on
+    the unit circle exactly when a real root has |w| <= 2.  The invariants
+    keep the near-circle multipliers accurate when the hyperbolic interface
+    multiplier dwarfs them, where a direct eigensolve loses them.
+    """
+    c1 = float(np.trace(matrix))
+    c2 = sum(float(matrix[i, i] * matrix[j, j] - matrix[i, j] * matrix[j, i])
+             for i in range(4) for j in range(i + 1, 4))
+    disc = c1 * c1 - 4.0 * (c2 - 2.0)
+    if disc < 0.0:
+        return None
+    w_big = 0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    if w_big == 0.0:
+        w_small = math.sqrt(max(2.0 - c2, 0.0))
+        return -w_small, w_small
+    return w_big, (c2 - 2.0) / w_big
+
+
 def _direct_leading_eigenvalue(a, params, hint, rk_steps=2048, rtol=1e-6):
-    """leading_eigenvalue's bracket and bisection over the direct half map."""
+    """Bracket and bisection on unit-circle membership of the direct half map's multipliers.
+
+    b has period p/2, so the half map's multipliers are square roots of the
+    full map's and membership transfers to it.
+    """
     def inside(lam):
-        ws = evans_module._reciprocal_pair(_direct_map(lam, a, params, rk_steps, 0.5))[0]
-        return ws is not None and any(abs(w) <= 2.0 + evans_module._UNIT_CIRCLE_TOL for w in ws)
+        ws = _reciprocal_pair(_direct_map(lam, a, params, rk_steps, 0.5))
+        return ws is not None and any(abs(w) <= 2.0 + 1e-5 for w in ws)
 
     hi = hint * 1.05
     while inside(hi):
@@ -266,11 +293,9 @@ def test_transfer_polynomial_matches_direct_rk4(a, params):
 
 @pytest.mark.parametrize("a", [0.2, 0.6, 0.9, 0.98])
 def test_leading_eigenvalue_matches_direct_bisection(a, params):
-    rtol = evans_module._RTOL
     lead = leading_eigenvalue(a, params)
     assert lead >= 0.01
-    assert lead == pytest.approx(_direct_leading_eigenvalue(a, params, LAMBDA_TOP, rtol=rtol),
-                                 rel=2.0 * rtol)
+    assert lead == pytest.approx(_direct_leading_eigenvalue(a, params, LAMBDA_TOP), rel=2e-6)
 
 
 def _steps_first_step_polynomial(wave, params, rk_steps, x_end):
@@ -320,51 +345,94 @@ def test_step_polynomial_is_bitwise_the_linear_part_of_the_quartic(a, params):
     assert np.array_equal(mine, quartic[:2])
 
 
-def test_eig_table_makes_few_membership_tests(params, monkeypatch):
-    # bisection made 24 membership tests per row; the secant on the
-    # collision discriminant needs well under half of that
+def _dense_leading_eigenvalue(a, params):
+    """Hill's leading eigenvalue from dense eigensolves at twice the modes leading_eigenvalue takes.
+
+    On q_j = 4 pi j/p + mu, |j| <= 2 ceil(3 p/l), the top eigenvalue of the
+    symmetric -D (kappa Q + B) D, D = diag|q_j|, is maximised over mu p/pi in
+    (0, 2] by a grid and golden section.  B comes from a full complex FFT.
+    eigh's top vector is read through the Rayleigh quotient of the pencil
+    kappa Q + B against Q^-1, because the top eigenvalue itself carries an
+    absolute error of about eps kappa max q^4, some 5e-7 on the last rows.
+    """
+    wave = periodic_wave(a, params)
+    p = wave.period
+    n = 2 * math.ceil(3.0 * p / math.sqrt(2.0 * params.kappa / params.beta))
+    m = 16 * n
+    b = 3.0 * params.alpha * wave.with_derivatives(0.5 * p * np.arange(m) / m)[0] ** 2 - params.beta
+    coef = np.fft.fft(b).real / m
+    j = np.arange(-n, n + 1)
+    toeplitz = coef[(j[:, None] - j[None, :]) % m]
+
+    def top(t):
+        q = (4.0 * j + t) * math.pi / p
+        h = toeplitz + np.diag(params.kappa * q * q)
+        d = np.abs(q)
+        u = d * np.linalg.eigh(-(d[:, None] * h * d[None, :]))[1][:, -1]
+        return -(u @ h @ u) / np.sum((u / q) ** 2)
+
+    grid = np.linspace(0.1, 2.0, 20)
+    k = int(np.argmax([top(t) for t in grid]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = top(x1), top(x2)
+    while hi - lo > 1e-6:
+        if f1 > f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - r * (hi - lo)
+            f1 = top(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + r * (hi - lo)
+            f2 = top(x2)
+    return max(f1, f2)
+
+
+@pytest.mark.parametrize("row", range(99, 108))
+def test_last_rows_match_a_dense_eigensolve_at_twice_the_modes(row, eig_table, params):
+    a = float(eig_table.amplitudes[row])
+    assert eig_table.lambda_max[row] == pytest.approx(_dense_leading_eigenvalue(a, params),
+                                                      rel=1e-7)
+
+
+def test_rescaled_table_matches_the_direct_table_on_every_row(eig_table):
+    kappa_new = 5.087e-4
+    direct = build_eig_table(Params(kappa=kappa_new))
+    scaled = rescale_table(eig_table, kappa_new)
+    assert np.array_equal(direct.amplitudes, scaled.amplitudes)
+    assert np.allclose(scaled.lambda_max, direct.lambda_max, rtol=1e-7, atol=0.0)
+
+
+def test_eig_table_tail_trend_falls_to_the_last_row(eig_table, params):
+    # lambda decays like exp(-p/l)/p, l = sqrt(2 kappa/beta), with a slowly
+    # falling prefactor
+    p = eig_table.periods
+    trend = eig_table.lambda_max * p * np.exp(p / math.sqrt(2.0 * params.kappa / params.beta))
+    tail = trend[p >= 0.5]
+    assert tail.size >= 8
+    assert np.all(np.diff(tail) < 0.0)
+
+
+def test_eig_table_calls_leading_eigenvalue_once_per_row(params, monkeypatch):
     calls = []
-    in_spectrum = evans_module._in_spectrum
+    solve = evans_module.leading_eigenvalue
 
-    def counted(half_poly, lam):
-        calls.append(lam)
-        return in_spectrum(half_poly, lam)
+    def counted(a, params, bracket_hint=None):
+        calls.append(a)
+        return solve(a, params, bracket_hint)
 
-    monkeypatch.setattr(evans_module, "_in_spectrum", counted)
-    table = build_eig_table(params)
-    assert len(calls) <= 10 * table.amplitudes.size
-
-
-def _planted_search(monkeypatch, params, edge, disc_of):
-    """leading_eigenvalue against a planted spectrum lam <= edge reporting disc_of(lam)."""
-    probes = []
-
-    def planted(half_poly, lam):
-        probes.append((lam, lam <= edge))
-        return lam <= edge, disc_of(lam)
-
-    monkeypatch.setattr(evans_module, "_in_spectrum", planted)
-    return leading_eigenvalue(0.5, params), probes
+    monkeypatch.setattr(evans_module, "leading_eigenvalue", counted)
+    amps = np.array([0.2, 0.5, 0.8])
+    build_eig_table(params, amplitudes=amps)
+    assert calls == amps.tolist()
 
 
-@pytest.mark.parametrize("edge", [0.37, 41.0, 180.0, 249.0])
-@pytest.mark.parametrize("kind", ["wrong_sign", "noise", "misplaced_root"])
-def test_search_safeguard_bounds_a_misleading_discriminant(kind, edge, params, monkeypatch):
-    rng = np.random.default_rng(7)
-    disc_of = {
-        "wrong_sign": lambda lam: lam / edge - 1.0,
-        "noise": lambda lam: float(rng.standard_normal()),
-        "misplaced_root": lambda lam: 1.0 - lam / (0.8 * edge),
-    }[kind]
-    # disc = 0 never changes sign across the bracket, so every probe is a midpoint
-    _, bisection = _planted_search(monkeypatch, params, edge, lambda lam: 0.0)
-    value, probes = _planted_search(monkeypatch, params, edge, disc_of)
-    lo = max(lam for lam, inside in probes if inside)
-    hi = min(lam for lam, inside in probes if not inside)
-    assert lo <= edge < hi
-    assert hi - lo <= 1e-6 * hi
-    assert value == 0.5 * (lo + hi)
-    assert len(probes) <= len(bisection) + 2
+def test_leading_eigenvalue_raises_below_its_rounding_floor(params):
+    # at p = 2.18 the leading eigenvalue is near 1e-18, far below the
+    # rounding of the pencil's Rayleigh quotient, so no iteration converges
+    with pytest.raises(RuntimeError, match="did not converge"):
+        leading_eigenvalue(1.0 - 1e-10, params)
 
 
 @pytest.mark.parametrize("da", [1.0, 1.5, -0.1, 0.0])

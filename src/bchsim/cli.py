@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -314,12 +315,15 @@ def _cmd_waves_table(args) -> int:
 def _cmd_evans_table(args) -> int:
     _, params = _params_for(args)
     amps = default_amplitudes(params, da=args.da)
+    start = time.perf_counter()
     table = build_eig_table(params, amplitudes=amps)
+    build_s = time.perf_counter() - start
     out = _out_dir(args, "evans", None)
     table.to_csv(out / "table.csv")
     runio.write_report(out, {
         "command": "evans table", "rows": int(table.amplitudes.size),
         "da": float(args.da), "kappa": float(params.kappa), "table": "table.csv",
+        "build_s": build_s,
     })
     print(f"wrote {out} ({table.amplitudes.size} rows)")
     return 0

@@ -21,7 +21,13 @@ The leading (largest real) spectrum point is found instead by Hill's method
 Zumbrun, SIAM J. Numer. Anal. 50, 2012): on the Bloch-Fourier modes of the
 wave, each Bloch exponent gives a small real symmetric pencil whose lowest
 eigenvalue is -lambda, and leading_eigenvalue maximises lambda over the
-exponent.
+exponent.  It is elementwise in the amplitude: a family of waves is
+sampled once per grid size, and each wave's search is seeded from the
+waves before it, in the order given (continuation; Allgower & Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003).  Each wave's
+first solve still takes a shift below the pencil's spectrum, so the
+seeding speeds the search up but does not choose the spectrum point it
+finds.
 
 For the monodromy, b, b' and b'' come from the closed-form wave, so no
 numerical differentiation enters the coefficients.  A(x; lambda) =
@@ -180,82 +186,138 @@ def evans(
     return complex(np.linalg.det(mono.matrix - z * np.eye(4)))
 
 
-def leading_eigenvalue(a: float, params: Params, bracket_hint: float | None = None) -> float:
-    """Largest real spectrum point of the linearization about the a-wave, by Hill's method.
+def _rows_of(family: WaveProfile, rows: np.ndarray) -> WaveProfile:
+    """The family's waves at rows, on the family's own AGM ladder.
 
-    b = F''(phi) is even and has period p/2, so a Bloch mode exp(i mu x)
-    times a p/2-periodic function has Fourier components u_j on
-    q_j = 4 pi j/p + mu, |j| <= n = ceil(3 p/l) with l = sqrt(2 kappa/beta),
-    the kink width.  On them the problem is the real symmetric pencil
-    H u = s Q^{-1} u, lambda = -s, with H = kappa Q + B, Q = diag q_j^2 and
-    B the Toeplitz matrix of b's cosine coefficients, taken from one rfft of
-    b on a power-of-two grid of at least 8 n + 8 points over [0, p/2).
+    The ladder is elementwise, and the levels past a row's own depth carry
+    c = 0, which only halve the Landen angle, exactly; so the rows sample
+    bit for bit as on ladders of their own, and none is built.
+    """
+    part = replace(family, amplitude=family.amplitude[rows], modulus=family.modulus[rows],
+                   complement=family.complement[rows], scale=family.scale[rows])
+    vars(part)["_levels"] = [(a[rows], c[rows]) for a, c in family._levels]
+    return part
+
+
+def leading_eigenvalue(a, params: Params, bracket_hint: float | None = None):
+    """Largest real spectrum point of the linearization about each a-wave, by Hill's method.
+
+    Elementwise in a, like periodic_wave: a float gives a float and an
+    array an array of its shape.  b = F''(phi) is even and has period p/2,
+    so a Bloch mode exp(i mu x) times a p/2-periodic function has Fourier
+    components u_j on q_j = 4 pi j/p + mu, |j| <= n = ceil(3 p/l) with
+    l = sqrt(2 kappa/beta), the kink width.  On them the problem is the real
+    symmetric pencil H u = s W u, lambda = -s, with H = kappa Q + B,
+    Q = diag q_j^2, W = Q^{-1} and B the Toeplitz matrix of b's cosine
+    coefficients, taken from an rfft of b on a power-of-two grid of at least
+    8 n + 8 points over [0, p/2).  The waves that share a grid size are
+    sampled in one call, all on the one AGM ladder of the family.
 
     At each mu, Rayleigh-quotient iteration on the pencil finds the smallest
-    s.  The first one starts from the shift -bracket_hint and the j = 0
-    mode.  Every spectrum point lies at or below lambda_top, the default
-    hint, so the first solve is inverse iteration below the pencil's
-    spectrum, which favours the leading point, and the Rayleigh quotients
-    that follow converge to it; a hint at or above the leading eigenvalue
-    does the same.  Each later mu starts from the vector and shift of the
-    one before.  An iteration ends once its shift moves by less than 1e-6
-    relative; the convergence is cubic, so the last Rayleigh quotient is
-    exact to rounding, and where rounding hides the eigenvalue it never
-    ends.  lambda(mu) = lambda(4 pi/p - mu), so mu ranges over (0, 2 pi/p];
-    a secant on d lambda/d mu, taken by Hellmann-Feynman, finds the maximum.
-    It starts at mu p/pi = sqrt 2, the small-amplitude sideband, keeps the
-    bracket of the maximum that the signs of the derivative give, and takes
-    the bracket's midpoint wherever the secant would leave it.  Either loop
-    raises RuntimeError after 50 steps without converging.
+    s.  Each solve x = (H - s W)^{-1} W u gives the next shift directly,
+    s + x.Wu / x.Wx, the Rayleigh quotient of x.  An iteration ends once its
+    shift moves by less than 1e-6 relative; the convergence is cubic, so the
+    last Rayleigh quotient is exact to rounding, and where rounding hides
+    the eigenvalue it never ends.  lambda(mu) = lambda(4 pi/p - mu), so mu
+    ranges over (0, 2 pi/p]; a secant on d lambda/d mu, taken by
+    Hellmann-Feynman, finds the maximum.  It keeps the bracket of the
+    maximum that the signs of the derivative give, takes the bracket's
+    midpoint wherever the secant would leave it, and stops once a secant
+    step or the bracket is below 1e-7 in mu p/pi.  Either loop raises
+    RuntimeError after 50 steps without converging.
+
+    The elements are solved in the order given, each seeded from the ones
+    before it:
+    - mu p/pi starts at the linear extrapolation of the two previous optima,
+      kept within [t/2, 2] for t the last of them; the first element starts
+      at sqrt 2, the small-amplitude sideband, and the second at the first's
+      optimum;
+    - the vector starts as the previous element's, zero-padded or cut to
+      this element's 2 n + 1 modes; the first starts as the j = 0 mode;
+    - the secant's first step is a Newton step on the previous element's
+      last secant slope where that slope is negative, else 0.05 up or down.
+      That slope may belong to a far different wave, so the first step never
+      meets the stop rule.
+    Each element's first solve takes the shift -bracket_hint.  Every
+    spectrum point lies at or below lambda_top, the default hint, so that
+    solve is inverse iteration below the pencil's spectrum, which favours
+    the leading point, and the Rayleigh quotients that follow converge to
+    it; a hint at or above the leading eigenvalue does the same.  So the
+    order of the elements changes the work, not the result.  Each later mu
+    starts from the vector and shift of the one before.
     """
     hint = params.lambda_top if bracket_hint is None else float(bracket_hint)
     if hint <= 0:
         raise ValueError("bracket hint must be positive")
-    wave = periodic_wave(a, params)
-    p, kappa = wave.period, params.kappa
-    n = math.ceil(3.0 * p / math.sqrt(2.0 * kappa / params.beta))
-    m = 1 << (8 * n + 7).bit_length()
-    phi = wave.with_derivatives(0.5 * p / m * np.arange(m))[0]
-    b = 3.0 * params.alpha * phi**2 - params.beta
-    j = np.arange(-n, n + 1)
-    toeplitz = (np.fft.rfft(b).real / m)[np.abs(j[:, None] - j)]
-    diag = np.diag_indices(j.size)
+    amps = np.asarray(a, dtype=float)
+    # one wave per row, so that a (rows, m) grid of samples broadcasts against it
+    family = periodic_wave(amps.reshape(-1, 1), params)
+    periods = family.period[:, 0]
+    kappa, width = params.kappa, math.sqrt(2.0 * params.kappa / params.beta)
+    modes = [math.ceil(3.0 * p / width) for p in periods.tolist()]
+    sizes = np.array([1 << (8 * n + 7).bit_length() for n in modes])
+    cosines = [None] * len(modes)
+    for m in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == m)
+        x = (0.5 * periods[rows] / m)[:, None] * np.arange(m)
+        phi = _rows_of(family, rows).with_derivatives(x)[0]
+        b = 3.0 * params.alpha * phi**2 - params.beta
+        for r, c in zip(rows.tolist(), np.fft.rfft(b).real / m):
+            cosines[r] = c
 
     def solve_at(t, u, s):
-        """Vector, s and d lambda/dt of the leading Bloch mode at mu = t pi/p."""
+        """Vector, s and d lambda/dt of the leading Bloch mode at mu = t pi/p, on the
+        pencil of the element the loop below is at."""
         q = (4.0 * j + t) * (math.pi / p)
-        w = 1.0 / (q * q)
+        w, stiff = 1.0 / (q * q), kappa * q * q
         for _ in range(_STEPS):
             shifted = toeplitz.copy()
-            shifted[diag] += kappa * q * q - s * w
-            u = np.linalg.solve(shifted, w * u)
-            u /= np.linalg.norm(u)
-            norm = u @ (w * u)
-            last, s = s, (u @ (toeplitz @ u) + kappa * (q * u) @ (q * u)) / norm
+            shifted.ravel()[::j.size + 1] += stiff - s * w  # the diagonal, in place
+            wu = w * u
+            x = np.linalg.solve(shifted, wu)
+            last, s = s, s + (x @ wu) / (x @ (w * x))
+            u = x / math.sqrt(x @ x)
             if abs(s - last) < 1e-6 * abs(s):
-                return u, s, -(u * u) @ (2.0 * kappa * q + 2.0 * s * w / q) / norm * (math.pi / p)
-        raise RuntimeError(f"Rayleigh-quotient iteration did not converge for a={a} at mu p/pi={t}")
+                return u, s, -(u * u) @ (2.0 * kappa * q + 2.0 * s * w / q) / (u @ (w * u)) * (math.pi / p)
+        raise RuntimeError(f"Rayleigh-quotient iteration did not converge for a={amp} at mu p/pi={t}")
 
-    t = math.sqrt(2.0)
-    u, s, g = solve_at(t, (j == 0).astype(float), -hint)
-    lo, hi, t_last, g_last = 0.0, 2.0, None, None
-    for _ in range(_STEPS):
-        if g > 0.0:
-            lo = t
+    out = np.empty(len(modes))
+    optima, u, slope = [], np.ones(1), 0.0
+    for r, (amp, p, n) in enumerate(zip(amps.ravel().tolist(), periods.tolist(), modes)):
+        j = np.arange(-n, n + 1)
+        toeplitz = cosines[r][np.abs(j[:, None] - j)]
+        # the previous vector, zero-padded or cut to this element's modes
+        half = u.size // 2
+        k, seed = min(n, half), np.zeros(j.size)
+        seed[n - k:n + k + 1] = u[half - k:half + k + 1]
+        t = optima[-1] if optima else math.sqrt(2.0)
+        if len(optima) > 1:
+            t = min(max(2.0 * t - optima[-2], 0.5 * t), 2.0)
+        u, s, g = solve_at(t, seed, -hint)
+        lo, hi, t_last, g_last = 0.0, 2.0, None, None
+        for _ in range(_STEPS):
+            if g > 0.0:
+                lo = t
+            else:
+                hi = t
+            if t_last is None:
+                step = -g / slope if slope < 0.0 else math.copysign(0.05, g)
+            elif (g - g_last) * (t - t_last) < 0.0:
+                slope = (g - g_last) / (t - t_last)
+                step = -g / slope
+            else:
+                step = math.inf
+            # the first step rests on another element's slope, so it never ends the search
+            if t_last is not None and min(abs(step), hi - lo) <= 1e-7:
+                break
+            t_last, g_last = t, g
+            t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+            u, s, g = solve_at(t, u, s)
         else:
-            hi = t
-        if t_last is None:
-            step = math.copysign(0.05, g)
-        elif (g - g_last) * (t - t_last) < 0.0:
-            step = -g * (t - t_last) / (g - g_last)
-        else:
-            step = math.inf
-        if min(abs(step), hi - lo) <= 1e-7:
-            return float(-s)
-        t_last, g_last = t, g
-        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-        u, s, g = solve_at(t, u, s)
-    raise RuntimeError(f"no maximum over the Bloch exponent found for a={a}")
+            raise RuntimeError(f"no maximum over the Bloch exponent found for a={amp}")
+        out[r] = -s
+        optima.append(t)
+    return float(out[0]) if amps.ndim == 0 else out.reshape(amps.shape)
 
 
 @dataclass
@@ -317,13 +379,12 @@ def default_amplitudes(params: Params, da: float = 0.01) -> np.ndarray:
 
 
 def build_eig_table(params: Params, amplitudes: np.ndarray | None = None) -> EigTable:
-    """Tabulate the leading eigenvalue, one leading_eigenvalue call per amplitude."""
+    """Tabulate the leading eigenvalue in one leading_eigenvalue pass over the amplitudes."""
     if amplitudes is None:
         amplitudes = default_amplitudes(params)
     amplitudes = np.asarray(amplitudes, dtype=float)
-    values = np.array([leading_eigenvalue(a, params) for a in amplitudes])
     return EigTable(amplitudes=amplitudes, periods=period_of_amplitude(amplitudes, params),
-                    lambda_max=values, params=params)
+                    lambda_max=leading_eigenvalue(amplitudes, params), params=params)
 
 
 def rescale_table(table: EigTable, kappa_new: float) -> EigTable:

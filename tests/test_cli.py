@@ -389,6 +389,8 @@ def test_evans_table_then_predict(tmp_path):
     table_path = tmp_path / "o" / "evans" / "ev" / "table.csv"
     header = table_path.read_text().splitlines()[0]
     assert header == "amplitude,period,lambda_max,kappa"
+    build_s = read_report(table_path.parent)["build_s"]
+    assert isinstance(build_s, float) and build_s > 0.0
 
     code = main(["predict", "--method", "eig", "--table", str(table_path),
                  "--t-max", "2", "--samples", "21",

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bchsim import evans as evans_module
+from bchsim import waves
 from bchsim.evans import (
     EigTable,
     build_eig_table,
@@ -414,18 +415,37 @@ def test_eig_table_tail_trend_falls_to_the_last_row(eig_table, params):
     assert np.all(np.diff(tail) < 0.0)
 
 
-def test_eig_table_calls_leading_eigenvalue_once_per_row(params, monkeypatch):
-    calls = []
-    solve = evans_module.leading_eigenvalue
+def test_eig_table_is_one_elementwise_leading_eigenvalue_call(eig_table, params):
+    assert np.array_equal(eig_table.lambda_max, leading_eigenvalue(eig_table.amplitudes, params))
 
-    def counted(a, params, bracket_hint=None):
-        calls.append(a)
-        return solve(a, params, bracket_hint)
 
-    monkeypatch.setattr(evans_module, "leading_eigenvalue", counted)
-    amps = np.array([0.2, 0.5, 0.8])
-    build_eig_table(params, amplitudes=amps)
-    assert calls == amps.tolist()
+def test_leading_eigenvalue_elements_do_not_depend_on_their_order(eig_table, params):
+    # each element is seeded from the ones before it; measured: scalar calls,
+    # the reversed and the shuffled amplitudes agree with the table to 2e-8
+    # (rows 104-107) and 3e-11 (rows 0-103)
+    amps, table = eig_table.amplitudes, eig_table.lambda_max
+    assert isinstance(leading_eigenvalue(float(amps[0]), params), float)
+    scalar = [leading_eigenvalue(float(a), params) for a in amps]
+    assert np.allclose(scalar, table, rtol=5e-8, atol=0.0)
+    assert np.allclose(leading_eigenvalue(amps[::-1], params)[::-1], table, rtol=5e-8, atol=0.0)
+    order = np.random.default_rng(0).permutation(amps.size)
+    shuffled = np.empty_like(table)
+    shuffled[order] = leading_eigenvalue(amps[order], params)
+    assert np.allclose(shuffled, table, rtol=5e-8, atol=0.0)
+    grid = leading_eigenvalue(amps[:6].reshape(2, 3), params)
+    assert grid.shape == (2, 3) and np.allclose(grid.ravel(), table[:6], rtol=5e-8, atol=0.0)
+
+
+def test_default_table_makes_few_solves_and_ladders(params, monkeypatch):
+    # one sampling pass on the family's AGM ladder, and each row's search
+    # seeded from the row before; row by row it took 1,163 solves and 110 ladders
+    solves, ladders = [], []
+    solve, ladder = np.linalg.solve, waves._ladder
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(waves, "_ladder", lambda *args: ladders.append(1) or ladder(*args))
+    assert build_eig_table(params).amplitudes.size == 108
+    assert len(solves) <= 600
+    assert len(ladders) <= 5
 
 
 def test_leading_eigenvalue_raises_below_its_rounding_floor(params):
@@ -433,6 +453,13 @@ def test_leading_eigenvalue_raises_below_its_rounding_floor(params):
     # rounding of the pencil's Rayleigh quotient, so no iteration converges
     with pytest.raises(RuntimeError, match="did not converge"):
         leading_eigenvalue(1.0 - 1e-10, params)
+
+
+def test_leading_eigenvalue_raises_on_any_element(params):
+    with pytest.raises(RuntimeError, match="did not converge"):
+        leading_eigenvalue(np.array([0.5, 1.0 - 1e-10, 0.6]), params)
+    with pytest.raises(ValueError, match="bracket hint"):
+        leading_eigenvalue(np.array([0.5, 0.6]), params, bracket_hint=0.0)
 
 
 @pytest.mark.parametrize("da", [1.0, 1.5, -0.1, 0.0])

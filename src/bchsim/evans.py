@@ -30,13 +30,7 @@ seeding speeds the search up but does not choose the spectrum point it
 finds.
 
 For the monodromy, b, b' and b'' come from the closed-form wave, so no
-numerical differentiation enters the coefficients.  A(x; lambda) =
-A0(x) + lambda F with F = -(1/kappa) e3 e0^T.  F A0^j F vanishes for
-j <= 2, so each classical fixed-step RK4 transfer matrix, a product of at
-most four A, is exactly linear in lambda.  Its two coefficient matrices
-are built once per wave, for all steps in one vectorized batch; each
-lambda then costs one multiply-add of that stack and a pairwise ordered
-product.
+numerical differentiation enters the coefficients.
 """
 
 from __future__ import annotations
@@ -60,9 +54,6 @@ __all__ = [
     "rescale_table",
 ]
 
-# _step_polynomial builds this many steps at a time: a stage of a block is
-# 64 KiB, below malloc's 128 KiB mmap threshold, so calls reuse the heap's pages
-_BLOCK = 256
 # step limit of each leading_eigenvalue loop
 _STEPS = 50
 
@@ -75,80 +66,8 @@ class Monodromy:
     period: float
 
     @property
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.matrix))
-
-
-def _coefficients(wave: WaveProfile, x: np.ndarray, params: Params):
-    phi, phi_x, phi_xx = wave.with_derivatives(x)
-    b = 3.0 * params.alpha * phi**2 - params.beta
-    bp = 6.0 * params.alpha * phi * phi_x
-    bpp = 6.0 * params.alpha * (phi_x**2 + phi * phi_xx)
-    return b, bp, bpp
-
-
-def _step_polynomial(wave: WaveProfile, params: Params, rk_steps: int, x_end: float) -> np.ndarray:
-    """RK4 one-step transfer matrices over [0, x_end], which are linear in lambda.
-
-    Returns C of shape (2, rk_steps, 4, 4): step i's propagator at lambda is
-    C[0, i] + lambda C[1, i].  A(x; lambda) = A0(x) + lambda F, and every RK4
-    stage multiplies by A once more.  A stage is a stack of coefficient
-    matrices; A0 M shifts the rows of M up and puts the coefficient row r(x) M
-    in row 3, and F M puts -M[0] / kappa there.  A lambda^2 term would need
-    F A0^j F with j <= 2, which is zero because the (0, 3) entry of a product
-    of at most two A0 is; so row 0 of every stage's linear coefficient is zero,
-    and F adds nothing to it.  The stages of a block of steps are held as
-    (degree, 4, 4, steps), so every row operation is one pass over long
-    vectors; each block is then transposed into the layout _transfer uses.
-    """
-    h = x_end / rk_steps
-    x = 0.5 * h * np.arange(2 * rk_steps + 1)
-    b, bp, bpp = _coefficients(wave, x, params)
-    inv_kappa = 1.0 / params.kappa
-    rows = np.stack([bpp * inv_kappa, 2.0 * bp * inv_kappa, b * inv_kappa])
-    eye = np.eye(4)[:, :, None]
-
-    def times_a(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((2,) + m.shape[1:])
-        out[: len(m), :3] = m[:, 1:]
-        out[: len(m), 3] = r[0] * m[:, 0] + r[1] * m[:, 1] + r[2] * m[:, 2]
-        out[1, 3] -= inv_kappa * m[0, 0]
-        return out
-
-    def eye_plus(m: np.ndarray, c: float) -> np.ndarray:
-        """I + c m, in place."""
-        m *= c
-        m[0] += eye
-        return m
-
-    # each stage is summed into poly as soon as it is made and then scaled
-    # in place into the next stage's argument, so little is alive at a time
-    out = np.empty((2, rk_steps, 4, 4))
-    for s in range(0, rk_steps, _BLOCK):
-        e = min(s + _BLOCK, rk_steps)
-        block = rows[:, 2 * s:2 * e + 1]
-        r1, r2, r4 = block[:, 0:-1:2], block[:, 1::2], block[:, 2::2]
-        k = times_a(r1, np.broadcast_to(eye, (1, 4, 4, e - s)))
-        poly = k.copy()
-        k = times_a(r2, eye_plus(k, 0.5 * h))
-        poly += 2.0 * k
-        k = times_a(r2, eye_plus(k, 0.5 * h))
-        poly += 2.0 * k
-        k = times_a(r4, eye_plus(k, h))
-        poly += k
-        out[:, s:e] = eye_plus(poly, h / 6.0).transpose(0, 3, 1, 2)
-    return out
-
-
-def _transfer(poly: np.ndarray, lam: float) -> np.ndarray:
-    """Ordered product of the step propagators poly[0] + lam poly[1].
-
-    The stack is formed in place, in one temporary: a second one would fault
-    in fresh pages on every call.
-    """
-    mats = poly[1] * lam
-    mats += poly[0]
-    return _ordered_product(mats)
+    def det(self) -> float:
+        return float(np.linalg.det(self.matrix))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -164,24 +83,37 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def monodromy(lam: float, a: float, params: Params, rk_steps: int = 2048) -> Monodromy:
-    """Transfer matrix over one wave period at spectral parameter lam."""
+    """Transfer matrix over one wave period at spectral parameter lam, by classical RK4.
+
+    The step matrices of all rk_steps fixed steps are built in one vectorized
+    batch and multiplied by a pairwise ordered product, whose rounding keeps
+    det M closer to 1 than a step-by-step product's: at 4096 steps, over
+    a <= 0.9 of the binodal and 0 <= lam <= 1.2 lambda_top, the worst
+    |det M - 1| is 1.2e-9 against 2.2e-8.
+    """
     if rk_steps < 256:
         raise ValueError(f"rk_steps must be at least 256, got {rk_steps}")
     wave = periodic_wave(a, params)
-    mat = _transfer(_step_polynomial(wave, params, rk_steps, wave.period), lam)
-    return Monodromy(matrix=mat.astype(complex), period=wave.period)
+    h = wave.period / rk_steps
+    phi, phi_x, phi_xx = wave.with_derivatives(0.5 * h * np.arange(2 * rk_steps + 1))
+    b = 3.0 * params.alpha * phi**2 - params.beta
+    bp = 6.0 * params.alpha * phi * phi_x
+    bpp = 6.0 * params.alpha * (phi_x**2 + phi * phi_xx)
+    amat = np.zeros((phi.size, 4, 4))
+    amat[:, [0, 1, 2], [1, 2, 3]] = 1.0
+    amat[:, 3, :3] = np.stack([bpp - lam, 2.0 * bp, b], axis=-1) / params.kappa
+    # A at the start, middle and end of each step
+    a1, a2, a4 = amat[0:-1:2], amat[1::2], amat[2::2]
+    eye = np.eye(4)
+    k2 = a2 @ (eye + 0.5 * h * a1)
+    k3 = a2 @ (eye + 0.5 * h * k2)
+    k4 = a4 @ (eye + h * k3)
+    steps = eye + (h / 6.0) * (a1 + 2.0 * (k2 + k3) + k4)
+    return Monodromy(matrix=_ordered_product(steps), period=wave.period)
 
 
-def evans(
-    lam: float,
-    xi: float,
-    a: float,
-    params: Params,
-    mono: Monodromy | None = None,
-) -> complex:
-    """Evans determinant D(lam, xi) = det(M(lam) - e^{i xi p} I)."""
-    if mono is None:
-        mono = monodromy(lam, a, params)
+def evans(mono: Monodromy, xi: float) -> complex:
+    """Evans determinant D(lam, xi) = det(M(lam) - e^{i xi p} I) of the monodromy M(lam)."""
     z = np.exp(1j * xi * mono.period)
     return complex(np.linalg.det(mono.matrix - z * np.eye(4)))
 
@@ -199,7 +131,7 @@ def _rows_of(family: WaveProfile, rows: np.ndarray) -> WaveProfile:
     return part
 
 
-def leading_eigenvalue(a, params: Params, bracket_hint: float | None = None):
+def leading_eigenvalue(a, params: Params):
     """Largest real spectrum point of the linearization about each a-wave, by Hill's method.
 
     Elementwise in a, like periodic_wave: a float gives a float and an
@@ -238,17 +170,13 @@ def leading_eigenvalue(a, params: Params, bracket_hint: float | None = None):
       last secant slope where that slope is negative, else 0.05 up or down.
       That slope may belong to a far different wave, so the first step never
       meets the stop rule.
-    Each element's first solve takes the shift -bracket_hint.  Every
-    spectrum point lies at or below lambda_top, the default hint, so that
-    solve is inverse iteration below the pencil's spectrum, which favours
-    the leading point, and the Rayleigh quotients that follow converge to
-    it; a hint at or above the leading eigenvalue does the same.  So the
-    order of the elements changes the work, not the result.  Each later mu
-    starts from the vector and shift of the one before.
+    Each element's first solve takes the shift -lambda_top.  Every spectrum
+    point lies at or below lambda_top, so that solve is inverse iteration
+    below the pencil's spectrum, which favours the leading point, and the
+    Rayleigh quotients that follow converge to it.  So the order of the
+    elements changes the work, not the result.  Each later mu starts from
+    the vector and shift of the one before.
     """
-    hint = params.lambda_top if bracket_hint is None else float(bracket_hint)
-    if hint <= 0:
-        raise ValueError("bracket hint must be positive")
     amps = np.asarray(a, dtype=float)
     # one wave per row, so that a (rows, m) grid of samples broadcasts against it
     family = periodic_wave(amps.reshape(-1, 1), params)
@@ -293,7 +221,7 @@ def leading_eigenvalue(a, params: Params, bracket_hint: float | None = None):
         t = optima[-1] if optima else math.sqrt(2.0)
         if len(optima) > 1:
             t = min(max(2.0 * t - optima[-2], 0.5 * t), 2.0)
-        u, s, g = solve_at(t, seed, -hint)
+        u, s, g = solve_at(t, seed, -params.lambda_top)
         lo, hi, t_last, g_last = 0.0, 2.0, None, None
         for _ in range(_STEPS):
             if g > 0.0:

@@ -123,7 +123,7 @@ def _ladder(k, complement):
     folding through them only halves phi, exactly.
     """
     # [()] makes one modulus a numpy scalar, whose arithmetic costs far less
-    # than a 0-d array's: an eigenvalue table builds one per row
+    # than a 0-d array's: monodromy and energy_scale build ladders of one wave
     b = np.asarray(complement, dtype=float)[()]
     a, live = np.ones_like(b)[()], np.ones_like(b, dtype=bool)[()]
     levels = [(a, np.asarray(k, dtype=float)[()])]

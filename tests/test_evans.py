@@ -53,8 +53,11 @@ def _monodromy_by_solve_ivp(lam, a, params):
     return sol.y[:, -1].reshape(4, 4)
 
 
-def test_monodromy_matches_independent_integrator(params):
-    lam, a = 30.0, 0.5
+# criterion 04's corners: the grid's amplitudes 0.05 and 0.9 at its lambda = 0
+# and 1.2 lambda_top, and one point inside it
+@pytest.mark.parametrize("a,lam", [(0.5, 30.0), (0.05, 0.0), (0.9, 0.0), (0.9, 1.2 * LAMBDA_TOP),
+                                   (0.05, 1.2 * LAMBDA_TOP)])
+def test_monodromy_matches_independent_integrator(a, lam, params):
     mine = monodromy(lam, a, params).matrix
     other = _monodromy_by_solve_ivp(lam, a, params)
     scale = np.max(np.abs(other))
@@ -95,16 +98,16 @@ def test_evans_periodic_in_bloch_phase(params):
     a = 0.5
     mono = monodromy(10.0, a, params)
     p = mono.period
-    d0 = evans(10.0, 0.7, a, params, mono=mono)
-    d1 = evans(10.0, 0.7 + 2.0 * math.pi / p, a, params, mono=mono)
+    d0 = evans(mono, 0.7)
+    d1 = evans(mono, 0.7 + 2.0 * math.pi / p)
     assert d1 == pytest.approx(d0, rel=1e-9)
 
 
 def test_evans_conjugate_symmetry(params):
     a = 0.5
     mono = monodromy(10.0, a, params)
-    d_plus = evans(10.0, 0.3, a, params, mono=mono)
-    d_minus = evans(10.0, -0.3, a, params, mono=mono)
+    d_plus = evans(mono, 0.3)
+    d_minus = evans(mono, -0.3)
     assert d_minus == pytest.approx(np.conj(d_plus), rel=1e-9)
 
 
@@ -112,7 +115,7 @@ def test_translation_mode_at_origin(params):
     # phi_x is an exact kernel element, so D(0, 0) = 0 up to integration error
     a = 0.5
     mono = monodromy(0.0, a, params)
-    d = evans(0.0, 0.0, a, params, mono=mono)
+    d = evans(mono, 0.0)
     scale = (1.0 + np.linalg.norm(mono.matrix)) ** 4
     assert abs(d) < 1e-8 * scale
 
@@ -195,7 +198,7 @@ def test_rescaling_matches_direct_computation(params):
 
 
 def _direct_step_propagators(wave, lam, params, rk_steps, x_end):
-    """The per-lambda RK4 transfer matrices the quartic replaced, kept as a reference."""
+    """RK4 step matrices over [0, x_end] at lam, by full 4x4 products, kept as a reference."""
     h = x_end / rk_steps
     x = 0.5 * h * np.arange(2 * rk_steps + 1)
     phi, phi_x, phi_xx = wave.with_derivatives(x)
@@ -277,17 +280,14 @@ def _direct_leading_eigenvalue(a, params, hint, rk_steps=2048, rtol=1e-6):
 
 
 @pytest.mark.parametrize("a", [0.05, 0.5, 0.9, 0.99, 1.0 - 1e-6])
-def test_transfer_polynomial_matches_direct_rk4(a, params):
-    wave = periodic_wave(a, params)
-    half_poly = evans_module._step_polynomial(wave, params, 1024, 0.5 * wave.period)
+def test_monodromy_matches_direct_rk4(a, params):
     for lam in [LAMBDA_TOP, 100.0, 10.0, 1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5]:
-        half_ref = _direct_map(lam, a, params, 2048, 0.5)
-        half = evans_module._transfer(half_poly, lam)
-        assert np.max(np.abs(half - half_ref)) <= 1e-11 * np.max(np.abs(half_ref)), (a, lam)
         # M's entries cancel: near the binodal its largest one sits 1e10
-        # below max|H|^2, the size of the product's terms and of its rounding
+        # below max|H|^2, H the half-period map, the size of the product's
+        # terms and of its rounding
+        half_ref = _direct_map(lam, a, params, 2048, 0.5)
         full_ref = _direct_map(lam, a, params, 2048, 1.0)
-        full = monodromy(lam, a, params).matrix.real
+        full = monodromy(lam, a, params).matrix
         scale = max(np.max(np.abs(full_ref)), np.max(np.abs(half_ref)) ** 2)
         assert np.max(np.abs(full - full_ref)) <= 1e-11 * scale, (a, lam)
 
@@ -297,53 +297,6 @@ def test_leading_eigenvalue_matches_direct_bisection(a, params):
     lead = leading_eigenvalue(a, params)
     assert lead >= 0.01
     assert lead == pytest.approx(_direct_leading_eigenvalue(a, params, LAMBDA_TOP), rel=2e-6)
-
-
-def _steps_first_step_polynomial(wave, params, rk_steps, x_end):
-    """The (steps, 4, 4) assembly of all five quartic coefficients that the
-    steps-last linear build replaced, kept as a reference."""
-    h = x_end / rk_steps
-    x = 0.5 * h * np.arange(2 * rk_steps + 1)
-    b, bp, bpp = evans_module._coefficients(wave, x, params)
-    inv_kappa = 1.0 / params.kappa
-    rows = np.stack([bpp * inv_kappa, 2.0 * bp * inv_kappa, b * inv_kappa], axis=-1)
-    eye = np.eye(4)
-
-    def times_a(r, m):
-        out = np.zeros((m.shape[0] + 1,) + m.shape[1:])
-        out[:-1, :, :3] = m[:, :, 1:]
-        out[:-1, :, 3] = (r[:, 0, None] * m[:, :, 0] + r[:, 1, None] * m[:, :, 1]
-                          + r[:, 2, None] * m[:, :, 2])
-        out[1:, :, 3] -= inv_kappa * m[:, :, 0]
-        return out
-
-    def eye_plus(m, c):
-        m *= c
-        m[0] += eye
-        return m
-
-    r1, r2, r4 = rows[0:-1:2], rows[1::2], rows[2::2]
-    poly = np.zeros((5, rk_steps, 4, 4))
-    k = times_a(r1, np.broadcast_to(eye, (1, rk_steps, 4, 4)))
-    poly[:2] = k
-    k = times_a(r2, eye_plus(k, 0.5 * h))
-    poly[:3] += 2.0 * k
-    k = times_a(r2, eye_plus(k, 0.5 * h))
-    poly[:4] += 2.0 * k
-    k = times_a(r4, eye_plus(k, h))
-    poly += k
-    return eye_plus(poly, h / 6.0)
-
-
-@pytest.mark.parametrize("a", [0.05, 0.5, 0.99, 1.0 - 1e-10])
-def test_step_polynomial_is_bitwise_the_linear_part_of_the_quartic(a, params):
-    # the quartic's coefficients of lambda^2 to lambda^4 are exact zeros, so
-    # the steps-last linear build must equal its first two coefficients
-    wave = periodic_wave(a, params)
-    mine = evans_module._step_polynomial(wave, params, 1024, 0.5 * wave.period)
-    quartic = _steps_first_step_polynomial(wave, params, 1024, 0.5 * wave.period)
-    assert not np.any(quartic[2:])
-    assert np.array_equal(mine, quartic[:2])
 
 
 def _dense_leading_eigenvalue(a, params):
@@ -458,8 +411,6 @@ def test_leading_eigenvalue_raises_below_its_rounding_floor(params):
 def test_leading_eigenvalue_raises_on_any_element(params):
     with pytest.raises(RuntimeError, match="did not converge"):
         leading_eigenvalue(np.array([0.5, 1.0 - 1e-10, 0.6]), params)
-    with pytest.raises(ValueError, match="bracket hint"):
-        leading_eigenvalue(np.array([0.5, 0.6]), params, bracket_hint=0.0)
 
 
 @pytest.mark.parametrize("da", [1.0, 1.5, -0.1, 0.0])

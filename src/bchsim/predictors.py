@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 VARIANTS = ("langer", "eig_full", "eig_half")
-# Nelder--Mead starts of fit_pfit in (c1, c2)
-_STARTS = ((1.0, 1.0), (5.0, 5.0))
+_SCAN = 41  # nodes of each scan over ln c2 in fit_pfit
 
 
 def _interaction_scale(params: Params) -> float:
@@ -174,6 +173,12 @@ def fit_window(series, t_max: float = 20.0, t0: float = 0.0) -> tuple[np.ndarray
     return tt, pp
 
 
+def _fit_objective(tt, pp, c1: float, c2: float, params: Params, p0: float, t0: float) -> float:
+    """Trapezoid rule of |p_fit - p|^2 / ln(1 + t) over the samples (tt, pp)."""
+    y = (p_fit(tt, c1, c2, params, p0=p0, t0=t0) - pp) ** 2 * (1.0 / np.log1p(tt))
+    return float(np.sum(np.diff(tt) * (y[1:] + y[:-1]) / 2.0))
+
+
 def fit_pfit(series, params: Params, t_max: float = 20.0, p0: float | None = None,
              t0: float = 0.0) -> FitResult:
     """Fit (c1, c2) to measured spacing data on [0, t_max].
@@ -182,34 +187,38 @@ def fit_pfit(series, params: Params, t_max: float = 20.0, p0: float | None = Non
     pair; fit_window picks and checks the samples.  The objective is the
     trapezoid rule for the integral of |P_fit(t) - p(t)|^2 / ln(1 + t) dt
     over samples with 0 < t <= t_max; the diverging weight excludes the
-    t = 0 sample.  Nelder--Mead runs in log(c1, c2) space from each start
-    and the best minimum wins.
+    t = 0 sample.  c1 enters linearly, so each c2 has its best c1 in closed
+    form (variable projection).  ln c2 is scanned over the window's scale
+    widened by e^20 each way, then around the best node down to rounding;
+    ValueError when no c2 gives c1 > 0 or the best is on the scan's edge.
     """
     if p0 is None:
         p0 = params.p_s
     tt, pp = fit_window(series, t_max, t0)
     if np.ptp(pp) == 0.0:
         raise ValueError("period data is constant, nothing to fit")
-    weight = 1.0 / np.log1p(tt)
+    ell = _interaction_scale(params)
+    x = (tt - t0) * (16.0 * params.beta**2 / params.kappa) * math.exp(-p0 / ell)
+    d, w = pp - p0, np.convolve(np.diff(tt), [0.5, 0.5]) / np.log1p(tt)  # trapezoid nodes
 
-    def objective(log_c) -> float:
-        c1, c2 = math.exp(log_c[0]), math.exp(log_c[1])
-        y = (p_fit(tt, c1, c2, params, p0=p0, t0=t0) - pp) ** 2 * weight
-        return float(np.sum(np.diff(tt) * (y[1:] + y[:-1]) / 2.0))
+    def profile(u: float) -> tuple[float, float]:
+        g = ell * np.log1p(x * math.exp(-u))
+        c1 = np.dot(w * g, d) / np.dot(w * g, g)
+        return c1, np.dot(w, (c1 * g - d) ** 2)
 
-    from scipy.optimize import minimize  # deferred: importing scipy costs ~0.5 s
-
-    best = None
-    for start in _STARTS:
-        res = minimize(
-            objective,
-            x0=np.log(np.asarray(start, dtype=float)),
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return FitResult(c1=math.exp(best.x[0]), c2=math.exp(best.x[1]), objective=float(best.fun))
+    lo, hi = math.log(x.min()) - 20.0, math.log(x.max()) + 20.0
+    first = True
+    while first or hi - lo > 1e-15 * max(1.0, abs(lo)):
+        us = np.linspace(lo, hi, _SCAN)
+        c1, obj = np.array([profile(u) for u in us]).T
+        obj[~(c1 > 0.0)] = np.inf
+        k = 1 + int(np.argmin(obj[1:-1]))
+        if first and not obj[k] < min(obj[0], obj[-1]):
+            raise ValueError(f"no c2 in [{math.exp(lo):.3g}, {math.exp(hi):.3g}] with c1 > 0 "
+                             "is a minimum inside that range")
+        first, lo, hi = False, us[k - 1], us[k + 1]
+    c1, c2 = float(c1[k]), math.exp(us[k])
+    return FitResult(c1=c1, c2=c2, objective=_fit_objective(tt, pp, c1, c2, params, p0, t0))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Run with -v to get one pass/fail line per criterion.  Criteria 5 and 11
 share a 5-trial ensemble fixture and criteria 8 and 9 share a coupled
 versus uncoupled comparison fixture; both fixtures are module scoped
-because they carry minutes of simulation.  The two coupled-crossing tests
-after criterion 8 share a third, a seed-0 run at n = 4096 started from
-initial fields on file.
+because they carry minutes of simulation.  The comparison runs in a
+worker process beside the rest of the suite (see conftest).  The two
+coupled-crossing tests after criterion 8 share a third, a seed-0 run at
+n = 4096 started from initial fields on file.
 """
 
 import math
@@ -54,9 +55,8 @@ def ensemble5(eig_table):
     return run_ensemble(cfg, trials=5, overlays=True, eig_table=eig_table)
 
 
-@pytest.fixture(scope="module")
-def speedup():
-    """Coupled advective run against its uncoupled twin, same draw.
+def speedup_configs() -> tuple[SolverConfig, SolverConfig]:
+    """Coupled advective run and its uncoupled twin, same draw.
 
     t_final = 20 on the coupled side matches the fit window used by
     criterion 9; the twin horizon of 15 makes a >= 10x censored speedup
@@ -73,10 +73,27 @@ def speedup():
         t_final=20.0,
         record_every=64,
     )
-    twin = uncoupled_twin(coupled, t_final=15.0, dt=1e-3, record_every=10)
+    return coupled, uncoupled_twin(coupled, t_final=15.0, dt=1e-3, record_every=10)
+
+
+def timed_compare(coupled: SolverConfig, twin: SolverConfig):
+    """compare_coupled(coupled, twin) and its wall time, measured where it runs."""
     start = time.perf_counter()
     report = compare_coupled(coupled, twin)
     return report, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def speedup(speedup_job):
+    """The comparison of speedup_configs, as timed_compare returns it.
+
+    It carries minutes of simulation, so conftest submits it to a worker
+    process when the session starts and runs the tests that use it last;
+    its time is then taken while the rest of the suite shares the machine.
+    A worker killed outright loses the job, so the wait is bounded by
+    criterion 8's own time limit.
+    """
+    return speedup_job.get(timeout=1800.0)
 
 
 def test_criterion_01_closed_form_period_matches_quadrature(params):

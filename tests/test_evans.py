@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bchsim import evans as evans_module
 from bchsim import waves
 from bchsim.evans import (
     EigTable,
@@ -224,11 +223,17 @@ def _direct_step_propagators(wave, lam, params, rk_steps, x_end):
 
 
 def _direct_map(lam, a, params, rk_steps, fraction):
-    """Transfer matrix over fraction of a period, one direct RK4 pass per lambda."""
+    """Transfer matrix over fraction of a period, one direct RK4 pass per lambda.
+
+    The step matrices are multiplied one after another, not by evans's
+    pairwise product, so the comparison checks that product too.
+    """
     wave = periodic_wave(a, params)
     steps = int(rk_steps * fraction)
-    props = _direct_step_propagators(wave, lam, params, steps, fraction * wave.period)
-    return evans_module._ordered_product(props)
+    matrix = np.eye(4)
+    for step in _direct_step_propagators(wave, lam, params, steps, fraction * wave.period):
+        matrix = step @ matrix
+    return matrix
 
 
 def _reciprocal_pair(matrix):
